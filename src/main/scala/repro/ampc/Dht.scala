@@ -31,6 +31,16 @@ final class Dht[V](val id: String, metrics: Metrics) extends Serializable {
     else { metrics.kvQuery(e._2.toLong); Some(e._1.asInstanceOf[V]) }
   }
 
+  /** Networked lookup of a key that must exist: counted as [[get]] counts
+    * a hit; a miss throws instead of passing for an empty value.
+    */
+  def require(key: Long): V = {
+    val e = map.get(key)
+    if (e == null) throw new NoSuchElementException(s"DHT store $id has no key $key")
+    metrics.kvQuery(e._2.toLong)
+    e._1.asInstanceOf[V]
+  }
+
   /** Lookup without cost accounting — tests and driver-side assembly only. */
   def peek(key: Long): Option[V] =
     Option(map.get(key)).map(_._1.asInstanceOf[V])

@@ -52,11 +52,9 @@ object AmpcMatching {
     val matchedCache = KvCache.create[Long]("mm-matched", caching, metrics)
     val finishedCache = KvCache.create[Long]("mm-finished", caching, metrics)
     try {
-      val m = edges.count()
       val sym = GraphOps.symmetrize(edges.select("src", "dst")).as[(Long, Long)]
 
       // The single shuffle: group incident edges per vertex, sorted by rank.
-      metrics.shuffle(2 * m * GraphOps.EdgeBytes)
       val adj = sym
         .groupByKey(_._1)
         .mapGroups { (v, it) =>
@@ -66,9 +64,12 @@ object AmpcMatching {
         }
         .persist()
 
+      // Every edge is listed at both endpoints: the write sums 2m.
+      val twoM = spark.sparkContext.longAccumulator
       adj.foreachPartition { it: Iterator[(Long, EdgeAdj)] =>
-        it.foreach { case (v, a) => dht.put(v, a, 16 * a.length + 8) }
+        it.foreach { case (v, a) => dht.put(v, a, 16 * a.length + 8); twoM.add(a.length) }
       }
+      metrics.shuffle(twoM.sum * GraphOps.EdgeBytes)
 
       var pending = adj
       var passes = 0
@@ -217,7 +218,7 @@ private[core] object MatchingProcess {
     }
     if (budget.exhausted) return None
     budget.queries += 1
-    val adjB = dht.get(b).getOrElse(EdgeAdj(Array.empty, Array.empty))
+    val adjB = dht.require(b)
 
     var lastResult = false
     var aborted = false
@@ -266,7 +267,7 @@ private[core] object MatchingProcess {
               if (budget.exhausted) { aborted = true; yielded = true }
               else {
                 budget.queries += 1
-                val adjY = dht.get(y).getOrElse(EdgeAdj(Array.empty, Array.empty))
+                val adjY = dht.require(y)
                 val adjX = if (side == 0) f.adjA else f.adjB
                 f.awaiting = true
                 f.pendingSide = side

@@ -45,13 +45,9 @@ object AmpcMis {
     val dht = DhtRegistry.create[Array[Long]]("mis-adj", metrics)
     val cache = KvCache.create[Boolean]("mis-res", caching, metrics)
     try {
-      val m = edges.count()
       val sym = GraphOps.symmetrize(edges.select("src", "dst")).as[(Long, Long)]
 
       // Step (1): DirectEdgesUsingPriority — the algorithm's one shuffle.
-      // Each undirected edge survives in exactly one direction, so the
-      // shuffle moves ~m directed rows.
-      metrics.shuffle(m * GraphOps.EdgeBytes)
       val directed = sym
         .groupByKey(_._1)
         .mapGroups { (v, it) =>
@@ -64,10 +60,14 @@ object AmpcMis {
         }
         .persist()
 
-      // Step (2): write the directed graph to the key-value store.
+      // Step (2): write the directed graph to the key-value store. Each
+      // undirected edge survives in exactly one direction, so the lengths
+      // the write sums give m, the directed rows step (1) shuffled.
+      val m = spark.sparkContext.longAccumulator
       directed.foreachPartition { it: Iterator[(Long, Array[Long])] =>
-        it.foreach { case (v, adj) => dht.put(v, adj, 8 * adj.length + 8) }
+        it.foreach { case (v, adj) => dht.put(v, adj, 8 * adj.length + 8); m.add(adj.length) }
       }
+      metrics.shuffle(m.sum * GraphOps.EdgeBytes)
 
       // Step (3): ParDo the IsInMIS query process over all vertices.
       var pending = directed
@@ -168,7 +168,7 @@ private[core] object QueryProcess {
               if (queries >= budget) { aborted = true; yielded = true }
               else {
                 queries += 1
-                val adjU = dht.get(u).getOrElse(Array.empty[Long])
+                val adjU = dht.require(u)
                 f.awaiting = true
                 stack += new Frame(u, adjU)
                 if (stack.length > maxDepth) maxDepth = stack.length

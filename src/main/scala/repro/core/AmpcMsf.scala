@@ -74,13 +74,12 @@ object AmpcMsf {
     val parentDht = DhtRegistry.create[Long]("msf-parent", metrics)
     val rootCache = KvCache.create[Long]("msf-root", enabled = true, metrics)
     try {
-      val m = weightedEdges.count()
       val sym = GraphOps
         .symmetrize(weightedEdges.select("src", "dst", "weight"))
         .as[(Long, Long, Double)]
 
-      // Part 1: SortGraph (shuffle 1) + KV-Write.
-      metrics.shuffle(2 * m * GraphOps.WeightedEdgeBytes)
+      // Part 1: SortGraph (shuffle 1) + KV-Write. The write counts the
+      // vertices and sums their degrees to 2m.
       val adj = sym
         .groupByKey(_._1)
         .mapGroups { (v, it) =>
@@ -89,9 +88,15 @@ object AmpcMsf {
           (v, WeightAdj(sorted.map(_._1), sorted.map(_._2)))
         }
         .persist()
+      val nVertices = spark.sparkContext.longAccumulator
+      val twoM = spark.sparkContext.longAccumulator
       adj.foreachPartition { it: Iterator[(Long, WeightAdj)] =>
-        it.foreach { case (v, a) => adjDht.put(v, a, 16 * a.length + 8) }
+        it.foreach { case (v, a) =>
+          adjDht.put(v, a, 16 * a.length + 8); nVertices.add(1); twoM.add(a.length)
+        }
       }
+      val m = twoM.sum / 2
+      metrics.shuffle(2 * m * GraphOps.WeightedEdgeBytes)
 
       // Part 2: PrimSearch from every vertex.
       val budget = searchBudget
@@ -105,31 +110,31 @@ object AmpcMsf {
 
       // Shuffle 2: combine visit tuples per visited vertex, selecting the
       // highest-priority (lowest-rank) visitor as its parent. (The MSF
-      // edges emitted by the searches ride along in the same round.)
-      val visits = searchOut.filter(_.kind == 1)
-      val visitCount = visits.count()
-      metrics.shuffle(visitCount * GraphOps.EdgeBytes)
-      val parents = visits
+      // edges emitted by the searches ride along in the same round.) Each
+      // group also reports its size, so the parent write sums the visits.
+      val parents = searchOut
+        .filter(_.kind == 1)
         .groupByKey(_.a)
         .mapGroups { (child, it) =>
+          var size = 0L
           val best = it
-            .map(_.b)
+            .map { o => size += 1; o.b }
             .reduceLeft { (x, y) =>
               if (Priorities.precedes(
                     Priorities.vertexRank(x, seed), x,
                     Priorities.vertexRank(y, seed), y)) x
               else y
             }
-          (child, best)
+          (child, best, size)
         }
-        .persist()
-      parents.foreachPartition { it: Iterator[(Long, Long)] =>
-        it.foreach { case (c, p) => parentDht.put(c, p, 16) }
+      val visits = spark.sparkContext.longAccumulator
+      parents.foreachPartition { it: Iterator[(Long, Long, Long)] =>
+        it.foreach { case (c, p, k) => parentDht.put(c, p, 16); visits.add(k) }
       }
+      metrics.shuffle(visits.sum * GraphOps.EdgeBytes)
 
       // Shuffle 3: pointer-jump construction — materialize vertex → root.
-      val nVertices = adj.count()
-      metrics.shuffle(nVertices * GraphOps.EdgeBytes)
+      metrics.shuffle(nVertices.sum * GraphOps.EdgeBytes)
       val mapping = adj
         .mapPartitions { it =>
           it.map { case (v, _) => (v, PointerJump.root(v, parentDht, rootCache, metrics)) }
@@ -169,13 +174,12 @@ object AmpcMsf {
       val primEdges = searchOut
         .filter(_.kind == 0)
         .map(e => (e.a, e.b, e.w))
-        .distinct()
         .collect()
         .toSeq
 
       val msf = (primEdges ++ extra).distinct
       val nContracted = contracted.flatMap(c => Seq(c._1, c._2)).distinct.size.toLong
-      searchOut.unpersist(); adj.unpersist(); parents.unpersist()
+      searchOut.unpersist(); adj.unpersist()
       Result(msf, mapping, contracted, nContracted, metrics.snapshot)
     } finally {
       adjDht.close(); parentDht.close(); rootCache.close(); metrics.close()
@@ -234,10 +238,7 @@ object TruncatedPrim {
           if (visited.size > visitBudget) stop = true // rule (1): truncation
           else {
             depth += 1
-            dht.get(to) match {
-              case Some(a) => push(to, a)
-              case None    =>
-            }
+            push(to, dht.require(to))
           }
         }
       }

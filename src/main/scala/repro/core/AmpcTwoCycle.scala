@@ -47,19 +47,23 @@ object AmpcTwoCycle {
     val metrics = Metrics.fresh("ampc-2cyc")
     val dht = DhtRegistry.create[Array[Long]]("2cyc-adj", metrics)
     try {
-      val m = edges.count()
       val sym = GraphOps.symmetrize(edges.select("src", "dst")).as[(Long, Long)]
 
-      // The single shuffle: per-vertex adjacency, written to the DHT.
-      metrics.shuffle(2 * m * GraphOps.EdgeBytes)
+      // The single shuffle: per-vertex adjacency, written to the DHT. The
+      // write counts the n vertices and sums their degrees to 2m.
       val adj = sym
         .groupByKey(_._1)
         .mapGroups { (v, it) => (v, it.map(_._2).toArray.sorted) }
         .persist()
+      val vertices = spark.sparkContext.longAccumulator
+      val twoM = spark.sparkContext.longAccumulator
       adj.foreachPartition { it: Iterator[(Long, Array[Long])] =>
-        it.foreach { case (v, a) => dht.put(v, a, 8 * a.length + 8) }
+        it.foreach { case (v, a) =>
+          dht.put(v, a, 8 * a.length + 8); vertices.add(1); twoM.add(a.length)
+        }
       }
-      val n = adj.count()
+      metrics.shuffle(twoM.sum * GraphOps.EdgeBytes)
+      val n = vertices.sum
 
       def isSampled(v: Long): Boolean =
         java.lang.Long.remainderUnsigned(
@@ -68,7 +72,7 @@ object AmpcTwoCycle {
         ) == 0L
 
       var sampledIds = adj.filter(p => isSampled(p._1)).map(_._1).collect().sorted
-      if (sampledIds.isEmpty) {
+      if (sampledIds.isEmpty && n > 0) {
         // Deterministic fallback so the walk phase has somewhere to start.
         sampledIds = Array(adj.map(_._1).reduce(math.min(_, _)))
       }
@@ -83,7 +87,7 @@ object AmpcTwoCycle {
       val segments = sampleDs
         .mapPartitions { it =>
           it.flatMap { v =>
-            val nbrs = dht.get(v).getOrElse(Array.empty[Long])
+            val nbrs = dht.require(v)
             nbrs.iterator.map { first =>
               var prev = v
               var cur = first
@@ -91,7 +95,7 @@ object AmpcTwoCycle {
               var depth = 1L
               while (!stopAt(cur)) {
                 interior += 1
-                val a = dht.get(cur).getOrElse(Array.empty[Long])
+                val a = dht.require(cur)
                 depth += 1
                 val next = if (a.length < 2) prev else if (a(0) == prev) a(1) else a(0)
                 prev = cur

@@ -52,22 +52,22 @@ object LocalContractionCC {
       var done = false
       val traj = scala.collection.mutable.ArrayBuffer.empty[Long]
       var finalLabels: DataFrame = null
+      var num = 0L
       while (!done && rounds < maxRounds) {
         val edgeCount = cur.count()
         traj += edgeCount
         if (edgeCount <= localThreshold) {
           // In-memory finish: union-find over the residual supergraph.
           val rest = cur.collect()
-          val uf = new Reference.UnionFind()
-          rest.foreach { case (u, v) => uf.union(u, v) }
-          val roots = (rest.flatMap(e => Seq(e._1, e._2)).toSeq ++
-            labels.map(_._2).distinct().collect().toSeq).distinct
-          val comp = Reference.connectedComponents(roots, rest.toSeq)
-          val compOf = comp // captured map, small by construction
+          val supervertices = labels.map(_._2).distinct().collect()
+          val roots = (rest.flatMap(e => Seq(e._1, e._2)).toSeq ++ supervertices.toSeq).distinct
+          val compOf = Reference.connectedComponents(roots, rest.toSeq) // small by construction
           finalLabels = labels
             .map { case (orig, curV) => (orig, compOf.getOrElse(curV, curV)) }
             .toDF("id", "component")
             .persist()
+          // The components the labels take, counted on the driver.
+          num = supervertices.iterator.map(v => compOf.getOrElse(v, v)).toSet.size.toLong
           done = true
         } else {
           rounds += 1
@@ -127,7 +127,7 @@ object LocalContractionCC {
           labels = newLabels
         }
       }
-      val num = finalLabels.select("component").distinct().count()
+      require(finalLabels != null, s"no local finish within $maxRounds rounds")
       Result(finalLabels, num, rounds, traj.toSeq, metrics.snapshot)
     } finally metrics.close()
   }

@@ -53,7 +53,7 @@ object MpcMatching {
       var phases = 0
       var done = false
       while (!done && phases < maxPhases) {
-        val edgeCount = if (adj.isEmpty) 0L else adj.map(_._2.length.toLong).reduce(_ + _)
+        val (nodeCount, edgeCount) = GraphOps.adjacencySize(adj)(_._2.length)
         if (edgeCount == 0) done = true
         else if (edgeCount <= localThreshold) {
           val local = adj.collect()
@@ -68,7 +68,7 @@ object MpcMatching {
           // Shuffle 1: every vertex sends its minimum incident rank to
           // all neighbors, so edge (v,u) is recognized at both endpoints
           // as matched iff its rank is minimal at v AND at u.
-          metrics.shuffle((2 * edgeCount + adj.count()) * 8)
+          metrics.shuffle((2 * edgeCount + nodeCount) * 8)
           val msgs = adj.flatMap { case (v, ns, rs) =>
             if (rs.isEmpty) Iterator.empty
             else {
@@ -104,7 +104,7 @@ object MpcMatching {
 
           // Shuffle 2: drop matched vertices and prune their ids from the
           // surviving adjacency lists.
-          metrics.shuffle((2 * edgeCount + adj.count()) * 8)
+          metrics.shuffle((2 * edgeCount + nodeCount) * 8)
           val deletions = adj
             .filter(r => matchedVs(r._1))
             .flatMap { case (v, ns, _) => ns.iterator.map(u => (u, v)) }

@@ -54,8 +54,7 @@ object MpcMis {
       var phases = 0
       var done = false
       while (!done && phases < maxPhases) {
-        val edgeCount = if (adj.isEmpty) 0L else adj.map(_._2.length.toLong).reduce(_ + _)
-        val nodeCount = adj.count()
+        val (nodeCount, edgeCount) = GraphOps.adjacencySize(adj)(_._2.length)
         if (nodeCount == 0) done = true
         else if (edgeCount <= localThreshold) {
           // In-memory switch: finish the residual graph on one machine.

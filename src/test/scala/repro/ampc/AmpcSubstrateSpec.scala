@@ -54,6 +54,17 @@ class DhtSpec extends AnyFunSuite {
     d.close(); m.close()
   }
 
+  test("require counts a hit as get does and throws on a miss") {
+    val m = Metrics.fresh("dht6")
+    val d = DhtRegistry.create[String]("t", m)
+    d.put(1L, "x", 4)
+    assert(d.require(1L) == "x")
+    assert(m.snapshot.kvQueries == 1 && m.snapshot.kvReadBytes == 4)
+    val e = intercept[NoSuchElementException](d.require(99L))
+    assert(e.getMessage.contains(d.id) && e.getMessage.contains("99"))
+    d.close(); m.close()
+  }
+
   test("peek does not charge metrics") {
     val m = Metrics.fresh("dht3")
     val d = DhtRegistry.create[String]("t", m)
