@@ -47,19 +47,3 @@ object AmpcConnectivity {
     Result(labels, num, msf.metrics)
   }
 }
-
-/** Forest connectivity (the Prop. 3.2 analog): component labels of a
-  * graph that is promised to be a forest. The paper's implementation and
-  * ours coincide with general connectivity run on the forest — the
-  * truncated searches discover the trees, pointer jumping contracts them,
-  * and the (tiny) contracted remainder is solved in memory.
-  */
-object ForestConnectivity {
-  def labels(
-      spark: SparkSession,
-      forestEdges: DataFrame,
-      seed: Long,
-      searchBudget: Int = 64,
-  ): AmpcConnectivity.Result =
-    AmpcConnectivity.run(spark, forestEdges, seed, searchBudget)
-}

@@ -62,47 +62,16 @@ object AmpcMatching {
           val sorted = pairs.sortBy { case (r, u) => (r, u) }
           (v, EdgeAdj(sorted.map(_._1), sorted.map(_._2)))
         }
-        .persist()
 
       // Every edge is listed at both endpoints: the write sums 2m.
-      val twoM = spark.sparkContext.longAccumulator
-      adj.foreachPartition { it: Iterator[(Long, EdgeAdj)] =>
-        it.foreach { case (v, a) => dht.put(v, a, 16 * a.length + 8); twoM.add(a.length) }
-      }
-      metrics.shuffle(twoM.sum * GraphOps.EdgeBytes)
+      val (_, twoM) = AmpcRound.write(adj, dht, 16)(_.length)
+      metrics.shuffle(twoM * GraphOps.EdgeBytes)
 
-      var pending = adj
-      var passes = 0
-      var budget = queryBudget
-      val matched = scala.collection.mutable.Set.empty[(Long, Long)]
-      var done = false
-      while (!done) {
-        passes += 1
-        val b = budget
-        val out = pending
-          .mapPartitions { it =>
-            it.map { case (v, a) =>
-              MatchingProcess.vertexProcess(v, a, seed, dht, matchedCache, finishedCache, metrics, b) match {
-                case Some(partnerOpt) => (v, partnerOpt.getOrElse(-1L), false)
-                case None             => (v, -1L, true) // truncated
-              }
-            }
-          }
-          .collect()
-        out.foreach { case (v, p, trunc) =>
-          if (!trunc && p >= 0) matched += ((math.min(v, p), math.max(v, p)))
-        }
-        val unresolved = out.collect { case (v, _, true) => v }
-        if (unresolved.isEmpty) done = true
-        else {
-          budget =
-            if (budget >= Long.MaxValue / budgetGrowth) Long.MaxValue
-            else budget * budgetGrowth
-          val un = unresolved.toSet
-          pending = pending.filter(p => un(p._1))
-        }
+      val (answers, passes) = AmpcRound.resolve(adj, queryBudget, budgetGrowth) { (v, a, b) =>
+        MatchingProcess.vertexProcess(v, a, seed, dht, matchedCache, finishedCache, metrics, b)
       }
       adj.unpersist()
+      val matched = answers.collect { case (v, Some(p)) => (math.min(v, p), math.max(v, p)) }
       Result(matched.toSet, passes, metrics.snapshot)
     } finally {
       dht.close(); matchedCache.close(); finishedCache.close(); metrics.close()

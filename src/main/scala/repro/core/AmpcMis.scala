@@ -58,49 +58,19 @@ object AmpcMis {
             .toArray
           (v, preds.sortBy(u => (Priorities.vertexRank(u, seed), u)))
         }
-        .persist()
 
       // Step (2): write the directed graph to the key-value store. Each
       // undirected edge survives in exactly one direction, so the lengths
       // the write sums give m, the directed rows step (1) shuffled.
-      val m = spark.sparkContext.longAccumulator
-      directed.foreachPartition { it: Iterator[(Long, Array[Long])] =>
-        it.foreach { case (v, adj) => dht.put(v, adj, 8 * adj.length + 8); m.add(adj.length) }
-      }
-      metrics.shuffle(m.sum * GraphOps.EdgeBytes)
+      val (_, m) = AmpcRound.write(directed, dht, 8)(_.length)
+      metrics.shuffle(m * GraphOps.EdgeBytes)
 
       // Step (3): ParDo the IsInMIS query process over all vertices.
-      var pending = directed
-      var passes = 0
-      var budget = queryBudget
-      val misBuf = scala.collection.mutable.Set.empty[Long]
-      var done = false
-      while (!done) {
-        passes += 1
-        val b = budget
-        val out = pending
-          .mapPartitions { it =>
-            it.map { case (v, adj) =>
-              QueryProcess.inMis(v, adj, seed, dht, cache, metrics, b) match {
-                case Some(in) => (v, if (in) 1 else 0)
-                case None     => (v, 2) // truncated — retry next pass
-              }
-            }
-          }
-          .collect()
-        out.foreach { case (v, s) => if (s == 1) misBuf += v }
-        val unresolved = out.collect { case (v, 2) => v }
-        if (unresolved.isEmpty) done = true
-        else {
-          budget =
-            if (budget >= Long.MaxValue / budgetGrowth) Long.MaxValue
-            else budget * budgetGrowth
-          val un = unresolved.toSet
-          pending = pending.filter(p => un(p._1))
-        }
+      val (answers, passes) = AmpcRound.resolve(directed, queryBudget, budgetGrowth) { (v, adj, b) =>
+        QueryProcess.inMis(v, adj, seed, dht, cache, metrics, b)
       }
       directed.unpersist()
-      Result(misBuf.toSet, passes, metrics.snapshot)
+      Result(answers.collect { case (v, true) => v }.toSet, passes, metrics.snapshot)
     } finally {
       dht.close(); cache.close(); metrics.close()
     }

@@ -87,15 +87,8 @@ object AmpcMsf {
           val sorted = arr.sortBy { case (u, w) => (w, math.min(v, u), math.max(v, u)) }
           (v, WeightAdj(sorted.map(_._1), sorted.map(_._2)))
         }
-        .persist()
-      val nVertices = spark.sparkContext.longAccumulator
-      val twoM = spark.sparkContext.longAccumulator
-      adj.foreachPartition { it: Iterator[(Long, WeightAdj)] =>
-        it.foreach { case (v, a) =>
-          adjDht.put(v, a, 16 * a.length + 8); nVertices.add(1); twoM.add(a.length)
-        }
-      }
-      val m = twoM.sum / 2
+      val (nVertices, twoM) = AmpcRound.write(adj, adjDht, 16)(_.length)
+      val m = twoM / 2
       metrics.shuffle(2 * m * GraphOps.WeightedEdgeBytes)
 
       // Part 2: PrimSearch from every vertex.
@@ -134,7 +127,7 @@ object AmpcMsf {
       metrics.shuffle(visits.sum * GraphOps.EdgeBytes)
 
       // Shuffle 3: pointer-jump construction — materialize vertex → root.
-      metrics.shuffle(nVertices.sum * GraphOps.EdgeBytes)
+      metrics.shuffle(nVertices * GraphOps.EdgeBytes)
       val mapping = adj
         .mapPartitions { it =>
           it.map { case (v, _) => (v, PointerJump.root(v, parentDht, rootCache, metrics)) }

@@ -54,16 +54,8 @@ object AmpcTwoCycle {
       val adj = sym
         .groupByKey(_._1)
         .mapGroups { (v, it) => (v, it.map(_._2).toArray.sorted) }
-        .persist()
-      val vertices = spark.sparkContext.longAccumulator
-      val twoM = spark.sparkContext.longAccumulator
-      adj.foreachPartition { it: Iterator[(Long, Array[Long])] =>
-        it.foreach { case (v, a) =>
-          dht.put(v, a, 8 * a.length + 8); vertices.add(1); twoM.add(a.length)
-        }
-      }
-      metrics.shuffle(twoM.sum * GraphOps.EdgeBytes)
-      val n = vertices.sum
+      val (n, twoM) = AmpcRound.write(adj, dht, 8)(_.length)
+      metrics.shuffle(twoM * GraphOps.EdgeBytes)
 
       def isSampled(v: Long): Boolean =
         java.lang.Long.remainderUnsigned(

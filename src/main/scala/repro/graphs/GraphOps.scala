@@ -1,6 +1,6 @@
 package repro.graphs
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 import repro.core.Priorities
 
@@ -91,10 +91,4 @@ object GraphOps {
   /** Collect a small edge list to the driver as (src, dst) pairs. */
   def collectEdges(edges: DataFrame): Seq[(Long, Long)] =
     edges.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
-
-  /** DataFrame of explicit vertex ids (helper for tests and harnesses). */
-  def vertexDf(spark: SparkSession, ids: Seq[Long]): DataFrame = {
-    import spark.implicits._
-    ids.toDF("id")
-  }
 }

@@ -53,7 +53,7 @@ object LocalContractionCC {
       val traj = scala.collection.mutable.ArrayBuffer.empty[Long]
       var finalLabels: DataFrame = null
       var num = 0L
-      while (!done && rounds < maxRounds) {
+      while (!done) {
         val edgeCount = cur.count()
         traj += edgeCount
         if (edgeCount <= localThreshold) {
@@ -70,6 +70,7 @@ object LocalContractionCC {
           num = supervertices.iterator.map(v => compOf.getOrElse(v, v)).toSet.size.toLong
           done = true
         } else {
+          require(rounds < maxRounds, s"no local finish within $maxRounds rounds")
           rounds += 1
           // Shuffle 1: hang every vertex onto its minimum-*rank* neighbor
           // (fresh random ranks each round, as the hashed priorities of
@@ -127,7 +128,6 @@ object LocalContractionCC {
           labels = newLabels
         }
       }
-      require(finalLabels != null, s"no local finish within $maxRounds rounds")
       Result(finalLabels, num, rounds, traj.toSeq, metrics.snapshot)
     } finally metrics.close()
   }

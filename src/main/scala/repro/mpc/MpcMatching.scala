@@ -52,7 +52,7 @@ object MpcMatching {
       val matched = scala.collection.mutable.Set.empty[(Long, Long)]
       var phases = 0
       var done = false
-      while (!done && phases < maxPhases) {
+      while (!done) {
         val (nodeCount, edgeCount) = GraphOps.adjacencySize(adj)(_._2.length)
         if (edgeCount == 0) done = true
         else if (edgeCount <= localThreshold) {
@@ -64,6 +64,7 @@ object MpcMatching {
           matched ++= Reference.lfMatching(es, Priorities.edgeRank(_, _, seed))
           done = true
         } else {
+          require(phases < maxPhases, s"no local finish within $maxPhases phases")
           phases += 1
           // Shuffle 1: every vertex sends its minimum incident rank to
           // all neighbors, so edge (v,u) is recognized at both endpoints

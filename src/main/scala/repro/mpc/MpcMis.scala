@@ -53,7 +53,7 @@ object MpcMis {
       val mis = scala.collection.mutable.Set.empty[Long]
       var phases = 0
       var done = false
-      while (!done && phases < maxPhases) {
+      while (!done) {
         val (nodeCount, edgeCount) = GraphOps.adjacencySize(adj)(_._2.length)
         if (nodeCount == 0) done = true
         else if (edgeCount <= localThreshold) {
@@ -64,6 +64,7 @@ object MpcMis {
           mis ++= Reference.lfMis(vs, es, Priorities.vertexRank(_, seed))
           done = true
         } else {
+          require(phases < maxPhases, s"no local finish within $maxPhases phases")
           phases += 1
           // (1) LocalMinima — a map over adjacency lists.
           val rootset = adj.filter { case (v, ns) =>

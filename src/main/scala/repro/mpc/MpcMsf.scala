@@ -49,7 +49,7 @@ object MpcMsf {
       val msf = scala.collection.mutable.Set.empty[(Long, Long, Double)]
       var phases = 0
       var done = false
-      while (!done && phases < maxPhases) {
+      while (!done) {
         val edgeCount = cur.count()
         if (edgeCount == 0) done = true
         else if (edgeCount <= localThreshold) {
@@ -63,6 +63,7 @@ object MpcMsf {
             }
           done = true
         } else {
+          require(phases < maxPhases, s"no local finish within $maxPhases phases")
           phases += 1
           // Shuffle 1: minimum incident edge per supervertex.
           metrics.shuffle(2 * edgeCount * GraphOps.WeightedEdgeBytes)

@@ -3,11 +3,13 @@ package repro
 import org.apache.spark.ListenerDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart}
 import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
-import repro.core.{AmpcMatching, AmpcMis, AmpcMsf}
+import repro.core.{AmpcMatching, AmpcMis, AmpcMsf, AmpcTwoCycle}
+import repro.graphs.GraphGen
+import repro.mpc.LocalContractionCC
 import scala.collection.mutable
 
-/** Upper bounds on the Spark jobs one AMPC call runs. At this scale wall
-  * clock follows the job count, so a new bookkeeping action shows here.
+/** Upper bounds on the Spark jobs one algorithm call runs. At this scale
+  * wall clock follows the job count, so a new bookkeeping action shows here.
   */
 class SparkJobCountSpec extends SparkSpec {
 
@@ -62,5 +64,20 @@ class SparkJobCountSpec extends SparkSpec {
     val df = TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(edges, 4))
     val msf = jobsOf(AmpcMsf.run(spark, df, 4))
     assert(msf <= 15, s"MSF $msf jobs")
+  }
+
+  // Materialized before the count, so the generator's own jobs are not counted.
+  private lazy val cycles = GraphGen.twoCycles(spark, 300).localCheckpoint()
+
+  test("AMPC 2-Cycle runs at most 5 Spark jobs") {
+    val g = cycles
+    val twoCycle = jobsOf(AmpcTwoCycle.run(spark, g, 4, sampleInv = 16))
+    assert(twoCycle <= 5, s"2-Cycle $twoCycle jobs")
+  }
+
+  test("LocalContractionCC runs at most 60 Spark jobs") {
+    val g = cycles
+    val cc = jobsOf(LocalContractionCC.run(spark, g, 4, localThreshold = 64))
+    assert(cc <= 60, s"LocalContractionCC $cc jobs")
   }
 }

@@ -42,7 +42,7 @@ class AmpcConnectivitySpec extends SparkSpec {
   test("forest connectivity labels a forest correctly (Prop 3.2 analog)") {
     val forest = (1 until 30).map(i => ((i / 2).toLong, i.toLong)) ++
       (101 until 120).map(i => ((100 + (i - 100) / 2).toLong, i.toLong))
-    val res = ForestConnectivity.labels(spark, TestGraphs.toDf(spark, forest), 6)
+    val res = AmpcConnectivity.run(spark, TestGraphs.toDf(spark, forest), 6)
     assert(res.numComponents == 2)
     val got = labelsOf(res)
     val expected = Reference.connectedComponents(TestGraphs.vertices(forest), forest)

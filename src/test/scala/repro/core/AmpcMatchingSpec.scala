@@ -45,6 +45,15 @@ class AmpcMatchingSpec extends SparkSpec {
     assert(res.matching == expected)
   }
 
+  test("a truncation schedule that cannot finish is rejected") {
+    val df = TestGraphs.toDf(spark, TestGraphs.connectedEdges(24, 12, 6))
+    val zero = intercept[IllegalArgumentException](AmpcMatching.run(spark, df, 6, caching = false, queryBudget = 0))
+    assert(zero.getMessage.contains("query budget 0"))
+    val flat = intercept[IllegalArgumentException](
+      AmpcMatching.run(spark, df, 6, caching = false, queryBudget = 2, budgetGrowth = 1))
+    assert(flat.getMessage.contains("budget growth 1"))
+  }
+
   test("matching on a single edge takes it") {
     val df = TestGraphs.toDf(spark, Seq((1L, 2L)))
     assert(AmpcMatching.run(spark, df, 1).matching == Set((1L, 2L)))

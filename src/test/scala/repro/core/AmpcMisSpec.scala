@@ -52,6 +52,15 @@ class AmpcMisSpec extends SparkSpec {
     assert(res.passes > 1) // truncation forced extra rounds
   }
 
+  test("a truncation schedule that cannot finish is rejected") {
+    val df = TestGraphs.toDf(spark, TestGraphs.connectedEdges(30, 20, 7))
+    val zero = intercept[IllegalArgumentException](AmpcMis.run(spark, df, 7, caching = false, queryBudget = 0))
+    assert(zero.getMessage.contains("query budget 0"))
+    val flat = intercept[IllegalArgumentException](
+      AmpcMis.run(spark, df, 7, caching = false, queryBudget = 2, budgetGrowth = 1))
+    assert(flat.getMessage.contains("budget growth 1"))
+  }
+
   test("MIS on a path alternates from the global minimum-rank vertex") {
     val path = (0 until 12).map(i => (i.toLong, (i + 1).toLong))
     val df = TestGraphs.toDf(spark, path)

@@ -30,6 +30,13 @@ class MpcMisSpec extends SparkSpec {
     assert(res.metrics.shuffles == 2L * res.phases)
   }
 
+  test("running out of phases throws instead of returning a partial MIS") {
+    val df = TestGraphs.toDf(spark, TestGraphs.randomEdges(40, 100, 10))
+    assert(MpcMis.run(spark, df, 10, localThreshold = 0).phases > 1)
+    val e = intercept[IllegalArgumentException](MpcMis.run(spark, df, 10, localThreshold = 0, maxPhases = 1))
+    assert(e.getMessage.contains("no local finish within 1 phases"))
+  }
+
   test("phases grow with graph size (the Θ(log n) behavior)") {
     val small = MpcMis.run(spark, TestGraphs.toDf(spark, TestGraphs.randomEdges(16, 24, 2)), 2, localThreshold = 0)
     val large = MpcMis.run(spark, TestGraphs.toDf(spark, TestGraphs.randomEdges(256, 1024, 2)), 2, localThreshold = 0)
@@ -60,6 +67,13 @@ class MpcMatchingSpec extends SparkSpec {
     val res = MpcMatching.run(spark, TestGraphs.toDf(spark, edges), 10, localThreshold = 0)
     assert(res.metrics.shuffles == 2L * res.phases)
   }
+
+  test("running out of phases throws instead of returning a partial matching") {
+    val df = TestGraphs.toDf(spark, TestGraphs.randomEdges(40, 100, 10))
+    assert(MpcMatching.run(spark, df, 10, localThreshold = 0).phases > 1)
+    val e = intercept[IllegalArgumentException](MpcMatching.run(spark, df, 10, localThreshold = 0, maxPhases = 1))
+    assert(e.getMessage.contains("no local finish within 1 phases"))
+  }
 }
 
 class MpcMsfSpec extends SparkSpec {
@@ -78,6 +92,13 @@ class MpcMsfSpec extends SparkSpec {
     val edges = TestGraphs.withWeights(TestGraphs.randomEdges(40, 100, 9), 9)
     val res = MpcMsf.run(spark, TestGraphs.toWeightedDf(spark, edges), 9, localThreshold = 4)
     assert(res.metrics.shuffles == 3L * res.phases)
+  }
+
+  test("running out of phases throws instead of returning a partial forest") {
+    val df = TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(TestGraphs.randomEdges(40, 100, 9), 9))
+    assert(MpcMsf.run(spark, df, 9, localThreshold = 0).phases > 1)
+    val e = intercept[IllegalArgumentException](MpcMsf.run(spark, df, 9, localThreshold = 0, maxPhases = 1))
+    assert(e.getMessage.contains("no local finish within 1 phases"))
   }
 
   test("degree-weighted MSF matches the reference") {
