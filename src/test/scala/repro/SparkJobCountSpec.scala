@@ -1,7 +1,7 @@
 package repro
 
 import org.apache.spark.ListenerDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart, SparkListenerStageCompleted}
 import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import repro.core.{AmpcMatching, AmpcMis, AmpcMsf, AmpcTwoCycle}
 import repro.graphs.GraphGen
@@ -15,15 +15,24 @@ class SparkJobCountSpec extends SparkSpec {
 
   /** Records each job's group, and the group of each SQL execution, so a
     * job AQE submits from a pool thread without a group is still charged
-    * to the group of the action that started its execution.
+    * to the group of the action that started its execution. Also records
+    * which job's stages wrote shuffle data: the engine's count of shuffles.
     */
   private final class JobsByGroup extends SparkListener {
-    private val jobs = mutable.ArrayBuffer.empty[(Option[String], Option[Long])]
+    private val jobs = mutable.HashMap.empty[Int, (Option[String], Option[Long])]
     private val execGroup = mutable.HashMap.empty[Long, String]
+    private val stageJob = mutable.HashMap.empty[Int, Int]
+    private val shuffleStageJobs = mutable.ArrayBuffer.empty[Int]
 
     override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
       def prop(k: String) = Option(e.properties).flatMap(p => Option(p.getProperty(k)))
-      jobs += ((prop("spark.jobGroup.id"), prop("spark.sql.execution.id").map(_.toLong)))
+      jobs(e.jobId) = (prop("spark.jobGroup.id"), prop("spark.sql.execution.id").map(_.toLong))
+      e.stageIds.foreach(stageJob(_) = e.jobId)
+    }
+
+    override def onStageCompleted(e: SparkListenerStageCompleted): Unit = synchronized {
+      val wrote = Option(e.stageInfo.taskMetrics).exists(_.shuffleWriteMetrics.bytesWritten > 0)
+      if (wrote) shuffleStageJobs ++= stageJob.get(e.stageInfo.stageId)
     }
 
     override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
@@ -31,24 +40,34 @@ class SparkJobCountSpec extends SparkSpec {
       case _                                 =>
     }
 
-    def count(group: String): Int = synchronized {
-      jobs.count { case (g, x) => g.orElse(x.flatMap(execGroup.get)).contains(group) }
+    private def inGroup(group: String)(job: Int): Boolean = {
+      val (g, x) = jobs(job)
+      g.orElse(x.flatMap(execGroup.get)).contains(group)
     }
+
+    def count(group: String): Int = synchronized(jobs.keys.count(inGroup(group)))
+
+    def shuffleStages(group: String): Int = synchronized(shuffleStageJobs.count(inGroup(group)))
   }
 
-  private def jobsOf(body: => Unit): Int = {
+  private final class Seen[T](val result: T, val jobs: Int, val shuffleStages: Int)
+
+  private def observe[T](body: => T): Seen[T] = {
     val sc = spark.sparkContext
     val group = "job-count"
     val listener = new JobsByGroup
     ListenerDrain(sc); sc.addSparkListener(listener)
     sc.setJobGroup(group, group)
-    try body
-    finally {
-      sc.clearJobGroup()
-      ListenerDrain(sc); sc.removeSparkListener(listener)
-    }
-    listener.count(group)
+    val result =
+      try body
+      finally {
+        sc.clearJobGroup()
+        ListenerDrain(sc); sc.removeSparkListener(listener)
+      }
+    new Seen(result, listener.count(group), listener.shuffleStages(group))
   }
+
+  private def jobsOf(body: => Unit): Int = observe(body).jobs
 
   private val edges = TestGraphs.randomEdges(60, 150, 4)
 
@@ -75,9 +94,17 @@ class SparkJobCountSpec extends SparkSpec {
     assert(twoCycle <= 5, s"2-Cycle $twoCycle jobs")
   }
 
-  test("LocalContractionCC runs at most 60 Spark jobs") {
+  test("LocalContractionCC runs at most 8 Spark jobs") {
     val g = cycles
     val cc = jobsOf(LocalContractionCC.run(spark, g, 4, localThreshold = 64))
-    assert(cc <= 60, s"LocalContractionCC $cc jobs")
+    assert(cc <= 8, s"LocalContractionCC $cc jobs")
+  }
+
+  // The pair-RDD rounds shuffle four times each (parents, dst, dedup, label
+  // table), plus twice to set up the edges and the label table.
+  test("LocalContractionCC writes shuffle data in at most 4 stages per round plus 2") {
+    val g = cycles
+    val cc = observe(LocalContractionCC.run(spark, g, 4, localThreshold = 64))
+    assert(cc.shuffleStages <= 4 * cc.result.rounds + 2, s"${cc.shuffleStages} shuffle stages in ${cc.result.rounds} rounds")
   }
 }

@@ -1,5 +1,6 @@
 package repro.mpc
 
+import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestGraphs}
 import repro.core.Priorities
 import repro.graphs.{GraphGen, GraphOps}
@@ -142,6 +143,52 @@ class LocalContractionCCSpec extends SparkSpec {
     val res = LocalContractionCC.run(spark, GraphGen.cycle(spark, 300), 2, localThreshold = 8)
     assert(res.metrics.shuffles == 3L * res.rounds)
   }
+
+  test("running out of rounds throws instead of returning partial labels") {
+    val g = GraphGen.cycle(spark, 300)
+    assert(LocalContractionCC.run(spark, g, 1, localThreshold = 0).rounds > 1)
+    val e = intercept[IllegalArgumentException](LocalContractionCC.run(spark, g, 1, localThreshold = 0, maxRounds = 1))
+    assert(e.getMessage.contains("no local finish within 1 rounds"))
+  }
+
+  /** Checksum of the (id, component) labels in sorted order, so independent of collect order. */
+  private def checksum(labels: Seq[(Long, Long)]): Long =
+    labels.sorted.foldLeft(0L) { case (h, (v, c)) =>
+      Priorities.splitmix64(h ^ Priorities.splitmix64(v ^ Priorities.splitmix64(c)))
+    }
+
+  /** Outputs recorded on the typed-Dataset implementation that preceded the
+    * pair-RDD rounds; any change to the contraction shows here.
+    */
+  private def pinned(name: String, input: => DataFrame, seed: Long, threshold: Long)(
+      trajectory: Seq[Long], components: Long, shuffleBytes: Long, labelCount: Long, labelSum: Long): Unit =
+    test(s"outputs are pinned: $name") {
+      val res = LocalContractionCC.run(spark, input, seed, localThreshold = threshold)
+      assert(res.edgeTrajectory == trajectory)
+      assert(res.rounds == trajectory.size - 1)
+      assert(res.numComponents == components)
+      assert(res.metrics.shuffles == 3L * res.rounds && res.metrics.shuffleBytes == shuffleBytes)
+      val labels = res.labels.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+      assert(labels.size == labelCount && checksum(labels) == labelSum)
+    }
+
+  pinned("two 724-cycles, seed 7", GraphGen.twoCycles(spark, 724), 7, 256)(
+    Seq(1448, 719, 356, 174), 2, 161472, 1448, -5838781117440491801L)
+  pinned("two 724-cycles, seed 601", GraphGen.twoCycles(spark, 724), 601, 256)(
+    Seq(1448, 735, 370, 185), 2, 163392, 1448, -8333640030973777610L)
+  pinned("a 3000-cycle", GraphGen.cycle(spark, 3000), 3, 16)(
+    Seq(3000, 1507, 753, 382, 186, 92, 47, 25, 13), 1, 383488, 3000, -2052472588134222727L)
+  pinned("web-skewed R-MAT", GraphGen.rmat(spark, 9, 4, 5, a = 0.67, b = 0.16, c = 0.16), 5, 8)(
+    Seq(1057, 340, 68, 34, 14, 5), 2, 96832, 270, -879772158268992826L)
+  pinned("R-MAT contracted to nothing", GraphGen.rmat(spark, 9, 4, 6), 6, 0)(
+    Seq(1561, 677, 127, 33, 2, 1, 0), 2, 153664, 368, 2775875276765178962L)
+  pinned("duplicated rows", {
+    val e = TestGraphs.randomEdges(300, 400, 1)
+    TestGraphs.toDf(spark, e ++ e.take(50))
+  }, 1, 8)(Seq(450, 242, 153, 39, 9, 1), 4, 57152, 278, -8215210607401403908L)
+  pinned("already below the threshold", TestGraphs.toDf(spark, TestGraphs.randomEdges(30, 40, 2)), 2, 256)(
+    Seq(40), 1, 0, 30, -3098037593645465250L)
+  pinned("the empty graph", TestGraphs.toDf(spark, Seq.empty), 1, 8)(Seq(0), 0, 0, 0, 0L)
 
   test("each round shrinks a cycle by roughly 3x (2.59-3x in the paper)") {
     val res = LocalContractionCC.run(spark, GraphGen.cycle(spark, 3000), 3, localThreshold = 16)
