@@ -16,7 +16,7 @@ import java.util.concurrent.ConcurrentHashMap
   */
 final class Dht[V](val id: String, metrics: Metrics) extends Serializable {
   @transient private lazy val map: ConcurrentHashMap[Long, (AnyRef, Int)] =
-    DhtRegistry.mapFor(id)
+    DhtRegistry.stores(id)
 
   /** Write a key-value pair of approximately `bytes` bytes. */
   def put(key: Long, value: V, bytes: Int): Unit = {
@@ -47,24 +47,15 @@ final class Dht[V](val id: String, metrics: Metrics) extends Serializable {
 
   def size: Int = map.size
 
-  def close(): Unit = DhtRegistry.drop(id)
+  def close(): Unit = DhtRegistry.stores.close(id)
 }
 
 object DhtRegistry {
-  private val stores = new ConcurrentHashMap[String, ConcurrentHashMap[Long, (AnyRef, Int)]]()
-  private val counter = new java.util.concurrent.atomic.AtomicLong()
-
-  private[ampc] def mapFor(id: String): ConcurrentHashMap[Long, (AnyRef, Int)] =
-    stores.computeIfAbsent(id, _ => new ConcurrentHashMap[Long, (AnyRef, Int)]())
+  private[ampc] val stores =
+    new Registry[ConcurrentHashMap[Long, (AnyRef, Int)]]("DHT store", () => new ConcurrentHashMap)
 
   /** Create a fresh named store charging reads/writes to `metrics`. */
-  def create[V](tag: String, metrics: Metrics): Dht[V] = {
-    val d = new Dht[V](s"$tag-${counter.incrementAndGet()}", metrics)
-    mapFor(d.id)
-    d
-  }
-
-  private[ampc] def drop(id: String): Unit = stores.remove(id)
+  def create[V](tag: String, metrics: Metrics): Dht[V] = new Dht[V](stores.open(tag), metrics)
 }
 
 /** Per-run result cache — the paper's *caching optimization* (§5.3).
@@ -80,7 +71,7 @@ object DhtRegistry {
 final class KvCache[V](val id: String, val enabled: Boolean, metrics: Metrics)
     extends Serializable {
   @transient private lazy val map: ConcurrentHashMap[Long, AnyRef] =
-    KvCache.mapFor(id)
+    KvCache.caches(id)
 
   def get(key: Long): Option[V] =
     if (!enabled) None
@@ -95,21 +86,12 @@ final class KvCache[V](val id: String, val enabled: Boolean, metrics: Metrics)
 
   def size: Int = map.size
 
-  def close(): Unit = KvCache.drop(id)
+  def close(): Unit = KvCache.caches.close(id)
 }
 
 object KvCache {
-  private val caches = new ConcurrentHashMap[String, ConcurrentHashMap[Long, AnyRef]]()
-  private val counter = new java.util.concurrent.atomic.AtomicLong()
+  private val caches = new Registry[ConcurrentHashMap[Long, AnyRef]]("KV cache", () => new ConcurrentHashMap)
 
-  private def mapFor(id: String): ConcurrentHashMap[Long, AnyRef] =
-    caches.computeIfAbsent(id, _ => new ConcurrentHashMap[Long, AnyRef]())
-
-  def create[V](tag: String, enabled: Boolean, metrics: Metrics): KvCache[V] = {
-    val c = new KvCache[V](s"$tag-${counter.incrementAndGet()}", enabled, metrics)
-    mapFor(c.id)
-    c
-  }
-
-  private def drop(id: String): Unit = caches.remove(id)
+  def create[V](tag: String, enabled: Boolean, metrics: Metrics): KvCache[V] =
+    new KvCache[V](caches.open(tag), enabled, metrics)
 }

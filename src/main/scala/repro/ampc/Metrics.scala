@@ -1,6 +1,5 @@
 package repro.ampc
 
-import java.util.concurrent.ConcurrentHashMap
 import java.util.concurrent.atomic.{LongAccumulator, LongAdder}
 
 /** Immutable snapshot of the structural cost counters of one algorithm run.
@@ -48,7 +47,7 @@ final case class RunMetrics(
   * of the run that spawned them without serializing the ledger itself.
   */
 final class Metrics private (val id: String) extends Serializable {
-  @transient private lazy val state = Metrics.stateFor(id)
+  @transient private lazy val state = Metrics.registry(id)
 
   /** Record one logical shuffle moving approximately `bytes` bytes.
     * Called exactly once per conceptual dataflow shuffle; this is the
@@ -81,7 +80,7 @@ final class Metrics private (val id: String) extends Serializable {
     maxChainDepth = state.maxChain.get(),
   )
 
-  def close(): Unit = Metrics.drop(id)
+  def close(): Unit = Metrics.registry.close(id)
 }
 
 object Metrics {
@@ -90,18 +89,8 @@ object Metrics {
     val maxChain = new LongAccumulator(java.lang.Long.max(_, _), 0L)
   }
 
-  private val registry = new ConcurrentHashMap[String, State]()
-  private val counter = new java.util.concurrent.atomic.AtomicLong()
-
-  private def stateFor(id: String): State =
-    registry.computeIfAbsent(id, _ => new State)
+  private val registry = new Registry[State]("cost ledger", () => new State)
 
   /** Create a fresh ledger with a process-unique id. */
-  def fresh(tag: String): Metrics = {
-    val m = new Metrics(s"$tag-${counter.incrementAndGet()}")
-    registry.computeIfAbsent(m.id, _ => new State)
-    m
-  }
-
-  private def drop(id: String): Unit = registry.remove(id)
+  def fresh(tag: String): Metrics = new Metrics(registry.open(tag))
 }

@@ -43,7 +43,8 @@ object AmpcConnectivity {
     val labels = msf.mapping
       .select(col("id"), compOf(col("root")) as "component")
       .persist()
-    val num = labels.select("component").distinct().count()
+    // The components the labels take, counted on the driver.
+    val num = roots.map(r => rootComp.getOrElse(r, r)).distinct.size.toLong
     Result(labels, num, msf.metrics)
   }
 }

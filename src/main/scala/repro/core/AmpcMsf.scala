@@ -127,13 +127,13 @@ object AmpcMsf {
       metrics.shuffle(visits.sum * GraphOps.EdgeBytes)
 
       // Shuffle 3: pointer-jump construction — materialize vertex → root.
+      // The contraction's jobs compute and checkpoint it, so the mapping
+      // keeps no lineage back to the DHT, which `run` closes.
       metrics.shuffle(nVertices * GraphOps.EdgeBytes)
-      val mapping = adj
-        .mapPartitions { it =>
-          it.map { case (v, _) => (v, PointerJump.root(v, parentDht, rootCache, metrics)) }
-        }
+      val mapping = adj.rdd
+        .mapPartitions(_.map { case (v, _) => (v, PointerJump.root(v, parentDht, rootCache, metrics)) })
+        .localCheckpoint()
         .toDF("id", "root")
-        .persist()
 
       // Shuffles 4–5: contract the graph through the mapping.
       metrics.shuffle(m * GraphOps.WeightedEdgeBytes)

@@ -1,6 +1,6 @@
 package repro.graphs
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.Priorities
 
@@ -62,15 +62,6 @@ object GraphOps {
     val w = udf((u: Long, v: Long) => Priorities.toUnit(Priorities.edgeRank(u, v, seed)))
     edges.select(col("src"), col("dst"), w(col("src"), col("dst")) as "weight")
   }
-
-  /** (vertices, summed adjacency lengths) of a one-row-per-vertex
-    * adjacency Dataset, taken in a single Spark job.
-    */
-  def adjacencySize[T](adj: Dataset[T])(length: T => Int): (Long, Long) =
-    adj.rdd.aggregate((0L, 0L))(
-      (acc, row) => (acc._1 + 1, acc._2 + length(row)),
-      (a, b) => (a._1 + b._1, a._2 + b._2),
-    )
 
   /** Rough serialized size of one (src, dst) row — used for shuffle-byte
     * accounting (two 8-byte ids, matching the paper's NodeId pairs).

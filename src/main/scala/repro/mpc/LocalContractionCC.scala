@@ -1,16 +1,12 @@
 package repro.mpc
 
-import org.apache.spark.HashPartitioner
-import org.apache.spark.rdd.{RDD, ShuffledRDD}
-import org.apache.spark.serializer.JavaSerializer
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.storage.StorageLevel
 import repro.ampc.{Metrics, RunMetrics}
 import repro.core.Priorities.{precedes, splitmix64, vertexRank}
 import repro.graphs.GraphOps
 import repro.ref.Reference
 import scala.collection.mutable
-import scala.reflect.ClassTag
 
 /** MPC connectivity by local contractions — the CC-LocalContraction
   * baseline of §5.6 (Łącki–Mirrokni–Włodarczyk), which prior work found
@@ -25,10 +21,9 @@ import scala.reflect.ClassTag
   * rounds). Below `localThreshold` edges the residual is finished on one
   * machine.
   *
-  * Every table is a pair RDD keyed by vertex under one shared
-  * `HashPartitioner`, so joins against the round's parent table are
-  * narrow, and a round runs one Spark action: the edge count that feeds
-  * the trajectory.
+  * Every table is a pair RDD on [[CoPartitioned]]'s shared partitioner,
+  * so joins against the round's parent table are narrow, and a round runs
+  * one Spark action: the edge count that feeds the trajectory.
   */
 object LocalContractionCC {
 
@@ -46,20 +41,6 @@ object LocalContractionCC {
   private def lower(roundSeed: Long)(a: Long, b: Long): Long =
     if (precedes(vertexRank(b, roundSeed), b, vertexRank(a, roundSeed), a)) b else a
 
-  /** Applies `f(value, parent of key)` to every row, where a vertex
-    * without an edge this round is its own parent. This is a narrow hash
-    * join: `rows` and `parents` share one partitioner, so partition i of
-    * each holds the same keys.
-    */
-  private def withParents[V, W: ClassTag](rows: RDD[(Long, V)], parents: RDD[(Long, Long)])(
-      f: (V, Long) => IterableOnce[W]): RDD[W] = {
-    require(rows.partitioner.isDefined && rows.partitioner == parents.partitioner, "rows are not co-partitioned with the parents")
-    rows.zipPartitions(parents) { (rs, ps) =>
-      val parentOf = mutable.LongMap.from(ps)
-      rs.flatMap { case (k, v) => f(v, parentOf.getOrElse(k, k)) }
-    }
-  }
-
   def run(
       spark: SparkSession,
       edges: DataFrame,
@@ -69,22 +50,13 @@ object LocalContractionCC {
   ): Result = {
     import spark.implicits._
     val metrics = Metrics.fresh("mpc-cc")
-    val part = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
-    // Spark picks Kryo for a shuffle of primitive keys and values, and Kryo
-    // cannot start on Java 17 without `--add-opens`; name Java's instead.
-    val ser = new JavaSerializer(spark.sparkContext.getConf)
-    def shuffled[V: ClassTag](rdd: RDD[(Long, V)]): RDD[(Long, V)] =
-      new ShuffledRDD[Long, V, V](rdd, part).setSerializer(ser)
-    def reduced(rdd: RDD[(Long, Long)])(f: (Long, Long) => Long): RDD[(Long, Long)] =
-      rdd.combineByKeyWithClassTag(identity[Long], f, f, part, mapSideCombine = true, ser)
-
-    // Every round's edges and parents, released once the finish has
+    // Holds every round's edges and parents until the finish has
     // materialized the label table (which reads all the parents).
-    val held = mutable.ArrayBuffer.empty[RDD[_]]
+    val kit = new CoPartitioned(spark)
+    import kit.{checkpoint, reduced, shuffled, withParents}
     try {
       // Current graph keyed by src (the input rows as given until the first round dedups).
-      var cur = shuffled(edges.select("src", "dst").as[(Long, Long)].rdd).localCheckpoint()
-      held += cur
+      var cur = checkpoint(shuffled(kit.pairs(edges)))
       // current supervertex -> orig, built lazily across the rounds
       var labels: RDD[(Long, Long)] =
         reduced(cur.flatMap { case (u, v) => Iterator((u, u), (v, v)) })((a, _) => a)
@@ -120,10 +92,8 @@ object LocalContractionCC {
           // sequentially-numbered cycles).
           val low = lower(splitmix64(seed ^ (7000L + rounds))) _
           metrics.shuffle(2 * edgeCount * GraphOps.EdgeBytes)
-          val parents = reduced(cur.flatMap { case (u, v) => Iterator((u, v), (v, u)) })(low)
-            .mapPartitions(_.map { case (v, best) => (v, low(v, best)) }, preservesPartitioning = true)
-            .persist(StorageLevel.MEMORY_AND_DISK)
-          held += parents
+          val parents = kit.keep(reduced(cur.flatMap { case (u, v) => Iterator((u, v), (v, u)) })(low)
+            .mapPartitions(_.map { case (v, best) => (v, low(v, best)) }, preservesPartitioning = true))
 
           // Shuffle 2: relabel src (a narrow join), then move each edge to its dst.
           metrics.shuffle(edgeCount * GraphOps.EdgeBytes)
@@ -135,18 +105,13 @@ object LocalContractionCC {
           val relabeled = withParents(byDst, parents) { (pu, pv) =>
             if (pu == pv) None else Some((math.min(pu, pv), math.max(pu, pv)))
           }
-          cur = relabeled
-            .combineByKeyWithClassTag[mutable.HashSet[Long]](
-              mutable.HashSet(_), _ += _, _ ++= _, part, mapSideCombine = true, ser)
-            .flatMapValues(identity)
-            .localCheckpoint()
-          held += cur
+          cur = checkpoint(kit.grouped(relabeled).flatMapValues(identity))
           labels = shuffled(withParents(labels, parents)((orig, p) => Some((p, orig))))
         }
       }
       Result(finalLabels, num, rounds, traj.toSeq, metrics.snapshot)
     } finally {
-      held.foreach(_.unpersist(blocking = false))
+      kit.release()
       metrics.close()
     }
   }

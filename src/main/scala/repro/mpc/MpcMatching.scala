@@ -1,10 +1,11 @@
 package repro.mpc
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{Metrics, RunMetrics}
 import repro.core.Priorities
-import repro.graphs.GraphOps
 import repro.ref.Reference
+import scala.collection.mutable
 
 /** MPC Maximal Matching — the rootset-based algorithm of §5.4, "very
   * similar to our MIS algorithm in the MPC setting".
@@ -19,6 +20,9 @@ import repro.ref.Reference
   *
   * Computes the same lexicographically-first matching as
   * [[repro.core.AmpcMatching]] (same [[Priorities]] ranks).
+  * On [[CoPartitioned]], a phase's one Spark action sizes the graph and
+  * collects the matched pairs. Edge ranks are distinct, so a vertex is
+  * matched iff its minimum edge is also the other endpoint's minimum.
   */
 object MpcMatching {
 
@@ -35,97 +39,66 @@ object MpcMatching {
       localThreshold: Long = 2048,
       maxPhases: Int = 200,
   ): Result = {
-    import spark.implicits._
     val metrics = Metrics.fresh("mpc-mm")
+    val kit = new CoPartitioned(spark)
     try {
       // Adjacency lists carrying edge ranks (input formatting, uncounted).
-      var adj = GraphOps
-        .symmetrize(edges.select("src", "dst"))
-        .as[(Long, Long)]
-        .groupByKey(_._1)
-        .mapGroups { (v, it) =>
-          val ns = it.map(_._2).toArray.sorted
-          (v, ns, ns.map(u => Priorities.edgeRank(v, u, seed)))
-        }
-        .persist()
+      var adj: RDD[(Long, (Array[Long], Array[Long]))] = kit.checkpoint(kit.adjacency(edges).mapPartitions(
+        _.map { case (v, ns) => (v, (ns, ns.map(u => Priorities.edgeRank(v, u, seed)))) }, preservesPartitioning = true))
 
-      val matched = scala.collection.mutable.Set.empty[(Long, Long)]
+      val matched = mutable.Set.empty[(Long, Long)]
       var phases = 0
       var done = false
       while (!done) {
-        val (nodeCount, edgeCount) = GraphOps.adjacencySize(adj)(_._2.length)
+        // Shuffle 1 (declared below, once the phase is known to run):
+        // every vertex sends its minimum incident rank to all neighbors,
+        // so edge (v,u) is recognized at both endpoints as matched iff its
+        // rank is minimal at v AND at u. A narrow lookup then takes the
+        // decision at every vertex.
+        val mins = kit.combined[(Long, Long), mutable.LongMap[Long]](adj.flatMap { case (v, (ns, rs)) =>
+          rs.minOption.iterator.flatMap(mv => ns.iterator.map(u => (u, (v, mv))))
+        })(mutable.LongMap(_), _ += _, _ ++= _)
+        // Each row with the neighbor it is matched to this phase, if any.
+        val decided = kit.keep(kit.lookup(adj, mins, keepsKeys = true) {
+          (v, a: (Array[Long], Array[Long]), nbrMins: Option[mutable.LongMap[Long]]) =>
+            val (ns, rs) = a
+            val partner = Option.when(rs.nonEmpty)(ns(rs.indexOf(rs.min))).filter(u => nbrMins.flatMap(_.get(u)).contains(rs.min))
+            Some((v, (ns, rs, partner)))
+        })
+        val (nodeCount, edgeCount, matchedPairs) = kit.tally(decided)(
+          _._2._1.length,
+          { case (v, (_, _, partner)) => partner.filter(v < _).map((v, _)) },
+        )
         if (edgeCount == 0) done = true
         else if (edgeCount <= localThreshold) {
-          val local = adj.collect()
-          val es = local
-            .flatMap { case (v, ns, _) => ns.map(u => (v, u)) }
-            .filter(p => p._1 < p._2)
-            .toSeq
+          val es = adj.collect().toSeq.flatMap { case (v, (ns, _)) => ns.filter(v < _).map((v, _)) }
           matched ++= Reference.lfMatching(es, Priorities.edgeRank(_, _, seed))
           done = true
         } else {
           require(phases < maxPhases, s"no local finish within $maxPhases phases")
           phases += 1
-          // Shuffle 1: every vertex sends its minimum incident rank to
-          // all neighbors, so edge (v,u) is recognized at both endpoints
-          // as matched iff its rank is minimal at v AND at u.
           metrics.shuffle((2 * edgeCount + nodeCount) * 8)
-          val msgs = adj.flatMap { case (v, ns, rs) =>
-            if (rs.isEmpty) Iterator.empty
-            else {
-              val mv = rs.min
-              ns.iterator.map(u => (u, v, mv))
-            }
-          }
-          val withNbrMin = adj
-            .groupByKey(_._1)
-            .cogroup(msgs.groupByKey(_._1)) { (v, aIt, mIt) =>
-              aIt.map { case (_, ns, rs) =>
-                val mins = mIt.map(t => (t._2, t._3)).toMap
-                (v, ns, rs, ns.map(mins.getOrElse(_, Long.MaxValue)))
-              }
-            }
-            .persist()
-
-          // Matched decision — a map over the joined records.
-          val matchedPairs = withNbrMin
-            .flatMap { case (v, ns, rs, nbrMin) =>
-              if (rs.isEmpty) Iterator.empty
-              else {
-                val myMin = rs.min
-                val i = rs.indexOf(myMin)
-                val u = ns(i)
-                if (nbrMin(i) == myMin && v < u) Iterator.single((v, u))
-                else Iterator.empty
-              }
-            }
-            .collect()
           matched ++= matchedPairs
-          val matchedVs = matchedPairs.flatMap { case (a, b) => Seq(a, b) }.toSet
 
           // Shuffle 2: drop matched vertices and prune their ids from the
-          // surviving adjacency lists.
+          // surviving adjacency lists — a narrow lookup of the deletions.
           metrics.shuffle((2 * edgeCount + nodeCount) * 8)
-          val deletions = adj
-            .filter(r => matchedVs(r._1))
-            .flatMap { case (v, ns, _) => ns.iterator.map(u => (u, v)) }
-          val next = adj
-            .filter(r => !matchedVs(r._1))
-            .groupByKey(_._1)
-            .cogroup(deletions.groupByKey(_._1)) { (v, aIt, dIt) =>
-              aIt.map { case (_, ns, rs) =>
-                val del = dIt.map(_._2).toSet
-                val keep = ns.indices.filterNot(i => del(ns(i)))
-                (v, keep.map(ns).toArray, keep.map(rs).toArray)
-              }
-            }
-            .localCheckpoint() // truncate per-phase lineage
-          adj.unpersist()
-          withNbrMin.unpersist()
-          adj = next
+          val deletions = kit.grouped(decided.flatMap { case (v, (ns, _, partner)) =>
+            if (partner.isDefined) ns.iterator.map(u => (u, v)) else Iterator.empty
+          })
+          adj = kit.checkpoint(kit.lookup(decided, deletions, keepsKeys = true) {
+            (v, r: (Array[Long], Array[Long], Option[Long]), del: Option[mutable.HashSet[Long]]) =>
+              val (ns, rs, partner) = r
+              val gone = del.getOrElse(mutable.HashSet.empty[Long])
+              val keep = ns.indices.filterNot(i => gone(ns(i)))
+              Option.when(partner.isEmpty)((v, (keep.map(ns).toArray, keep.map(rs).toArray)))
+          })
         }
       }
       Result(matched.toSet, phases, metrics.snapshot)
-    } finally metrics.close()
+    } finally {
+      kit.release()
+      metrics.close()
+    }
   }
 }

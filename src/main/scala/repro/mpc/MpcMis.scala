@@ -3,8 +3,8 @@ package repro.mpc
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{Metrics, RunMetrics}
 import repro.core.Priorities
-import repro.graphs.GraphOps
 import repro.ref.Reference
+import scala.collection.mutable
 
 /** MPC Maximal Independent Set — the rootset-based O(log n)-round
   * algorithm of Figure 2 (Blelloch–Fineman–Shun, analysis by
@@ -20,6 +20,8 @@ import repro.ref.Reference
   *
   * Computes the same lexicographically-first MIS as [[repro.core.AmpcMis]]
   * because both draw ranks from [[Priorities]] with the same seed.
+  * On [[CoPartitioned]], a phase's one Spark action sizes the graph and
+  * collects its rootset.
   */
 object MpcMis {
 
@@ -36,81 +38,65 @@ object MpcMis {
       localThreshold: Long = 2048,
       maxPhases: Int = 200,
   ): Result = {
-    import spark.implicits._
     val metrics = Metrics.fresh("mpc-mis")
+    val kit = new CoPartitioned(spark)
+    def isRoot(v: Long, ns: Array[Long]): Boolean = {
+      val vr = Priorities.vertexRank(v, seed)
+      ns.forall(u => Priorities.precedes(vr, v, Priorities.vertexRank(u, seed), u))
+    }
     try {
       // Input representation: adjacency lists, one KV pair per vertex —
       // the PCollection<KV<NodeId, Node>> of Figure 2. Building it from
       // the edge list is input formatting, not a counted phase shuffle
       // (the paper's Table 3 counts 2 shuffles per phase).
-      var adj = GraphOps
-        .symmetrize(edges.select("src", "dst"))
-        .as[(Long, Long)]
-        .groupByKey(_._1)
-        .mapGroups { (v, it) => (v, it.map(_._2).toArray.sorted) }
-        .persist()
+      var adj = kit.checkpoint(kit.adjacency(edges))
 
-      val mis = scala.collection.mutable.Set.empty[Long]
+      val mis = mutable.Set.empty[Long]
       var phases = 0
       var done = false
       while (!done) {
-        val (nodeCount, edgeCount) = GraphOps.adjacencySize(adj)(_._2.length)
+        // (1) LocalMinima — a map over adjacency lists, taken in the
+        // action that sizes (and materializes) the adjacency.
+        val (nodeCount, edgeCount, rootset) =
+          kit.tally(adj)(_._2.length, { case (v, ns) => if (isRoot(v, ns)) Some(v) else None })
         if (nodeCount == 0) done = true
         else if (edgeCount <= localThreshold) {
           // In-memory switch: finish the residual graph on one machine.
-          val local = adj.collect()
-          val vs = local.map(_._1).toSeq
-          val es = local.flatMap { case (v, ns) => ns.map(u => (v, u)) }.filter(p => p._1 < p._2).toSeq
-          mis ++= Reference.lfMis(vs, es, Priorities.vertexRank(_, seed))
+          val local = adj.collect().toSeq
+          val es = local.flatMap { case (v, ns) => ns.filter(v < _).map((v, _)) }
+          mis ++= Reference.lfMis(local.map(_._1), es, Priorities.vertexRank(_, seed))
           done = true
         } else {
           require(phases < maxPhases, s"no local finish within $maxPhases phases")
           phases += 1
-          // (1) LocalMinima — a map over adjacency lists.
-          val rootset = adj.filter { case (v, ns) =>
-            val vr = Priorities.vertexRank(v, seed)
-            ns.forall(u => Priorities.precedes(vr, v, Priorities.vertexRank(u, seed), u))
+          mis ++= rootset
+
+          // (2) ids of rootset nodes and their neighbors — a map; (3) mark
+          // nodes to remove — shuffle 1, then a narrow lookup.
+          metrics.shuffle((2 * edgeCount + nodeCount) * 8)
+          val toRemove = kit.reduced(adj.flatMap { case (v, ns) =>
+            if (isRoot(v, ns)) (Iterator.single(v) ++ ns.iterator).map((_, true)) else Iterator.empty
+          })(_ || _)
+          val marked = kit.lookup(adj, toRemove, keepsKeys = true) { (v, ns, r: Option[Boolean]) =>
+            Some((v, (ns, r.isDefined)))
           }
-          val newSet = rootset.map(_._1).collect()
-          mis ++= newSet
 
-          // (2) ids of rootset nodes and their neighbors — a map.
-          val toRemove = rootset.flatMap { case (v, ns) => Iterator.single(v) ++ ns.iterator }
-
-          // (3) Mark nodes to remove — shuffle 1 (join graph with ids).
+          // (4) Removed nodes emit the edges to delete — a map; (5) prune
+          // survivors' adjacency lists — shuffle 2, then a narrow lookup.
           metrics.shuffle((2 * edgeCount + nodeCount) * 8)
-          val marked = adj
-            .groupByKey(_._1)
-            .cogroup(toRemove.groupByKey(identity)) { (v, aIt, rIt) =>
-              aIt.map(a => (v, a._2, rIt.nonEmpty))
-            }
-            .persist()
-
-          // (4) Removed nodes emit the edges to delete — a map.
-          val deletions = marked
-            .filter(_._3)
-            .flatMap { case (v, ns, _) => ns.iterator.map(u => (u, v)) }
-
-          // (5) Prune survivors' adjacency lists — shuffle 2.
-          metrics.shuffle((2 * edgeCount + nodeCount) * 8)
-          // localCheckpoint truncates the logical plan: without it the
-          // per-phase lineage grows and Catalyst analysis dominates.
-          val next = marked
-            .filter(!_._3)
-            .groupByKey(_._1)
-            .cogroup(deletions.groupByKey(_._1)) { (v, aIt, dIt) =>
-              aIt.map { case (_, ns, _) =>
-                val del = dIt.map(_._2).toSet
-                (v, ns.filterNot(del))
-              }
-            }
-            .localCheckpoint()
-          adj.unpersist()
-          marked.unpersist()
-          adj = next
+          val deletions = kit.grouped(marked.flatMap { case (v, (ns, removed)) =>
+            if (removed) ns.iterator.map(u => (u, v)) else Iterator.empty
+          })
+          adj = kit.checkpoint(kit.lookup(marked, deletions, keepsKeys = true) {
+            (v, m: (Array[Long], Boolean), del: Option[mutable.HashSet[Long]]) =>
+              if (m._2) None else Some((v, del.fold(m._1)(d => m._1.filterNot(d))))
+          })
         }
       }
       Result(mis.toSet, phases, metrics.snapshot)
-    } finally metrics.close()
+    } finally {
+      kit.release()
+      metrics.close()
+    }
   }
 }

@@ -1,10 +1,12 @@
 package repro.mpc
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{Metrics, RunMetrics}
 import repro.core.Priorities
 import repro.graphs.GraphOps
 import repro.ref.Reference
+import scala.collection.mutable
 
 /** MPC Minimum Spanning Forest — classic Borůvka, as implemented in §5.5.
   *
@@ -20,6 +22,9 @@ import repro.ref.Reference
   * Edges carry their original endpoints throughout, so the output forest
   * is expressed in input ids. Weight ties break by (w, origSrc, origDst),
   * the same total order as [[Reference.kruskal]] — the forest is unique.
+  * On [[CoPartitioned]], edges are keyed by their current src, both
+  * relabelings are narrow joins, and a phase's one Spark action collects
+  * the minimum edges and so sizes the graph.
   */
 object MpcMsf {
 
@@ -28,6 +33,16 @@ object MpcMsf {
       phases: Int,
       metrics: RunMetrics,
   )
+
+  /** An edge in the row of one endpoint. A class of primitive fields, not
+    * a tuple of boxed ones, as every phase Java-serializes each edge twice.
+    */
+  private final case class Edge(to: Long, w: Double, ou: Long, ov: Long) {
+    def original: (Long, Long, Double) = (math.min(ou, ov), math.max(ou, ov), w)
+  }
+
+  /** (w, canonical original endpoints): [[Reference.kruskal]]'s order. */
+  private val byWeight: Ordering[Edge] = Ordering.by(e => (e.w, math.min(e.ou, e.ov), math.max(e.ou, e.ov)))
 
   def run(
       spark: SparkSession,
@@ -38,87 +53,57 @@ object MpcMsf {
   ): Result = {
     import spark.implicits._
     val metrics = Metrics.fresh("mpc-msf")
+    val kit = new CoPartitioned(spark)
+    import kit.{checkpoint, shuffled, withParents}
     try {
-      // Working edges: (u, v, w, ou, ov) — current endpoints + originals.
-      var cur = weightedEdges
-        .select("src", "dst", "weight")
-        .as[(Long, Long, Double)]
-        .map { case (u, v, w) => (u, v, w, u, v) }
-        .persist()
+      // Working edges, keyed by current src.
+      var cur: RDD[(Long, Edge)] = checkpoint(shuffled(
+        weightedEdges.select("src", "dst", "weight").as[(Long, Long, Double)].rdd.map { case (u, v, w) => (u, Edge(v, w, u, v)) }))
 
-      val msf = scala.collection.mutable.Set.empty[(Long, Long, Double)]
+      val msf = mutable.Set.empty[(Long, Long, Double)]
       var phases = 0
       var done = false
       while (!done) {
-        val edgeCount = cur.count()
+        // Shuffle 1 (declared below, once the phase is known to run): the
+        // minimum incident edge and the degree of every supervertex.
+        val minEdge = kit.keep(kit.combined[Edge, (Edge, Long)](cur.flatMap { case (u, e) =>
+          Iterator((u, e), (e.to, e.copy(to = u)))
+        })(e => (e, 1L), (a, e) => (byWeight.min(a._1, e), a._2 + 1), (a, b) => (byWeight.min(a._1, b._1), a._2 + b._2)))
+        val (_, degrees, best) = kit.tally(minEdge)(_._2._2, r => Some(r._2._1))
+        val edgeCount = degrees / 2
         if (edgeCount == 0) done = true
         else if (edgeCount <= localThreshold) {
           // In-memory finish: Kruskal over current labels, emitting originals.
           val rest = cur.collect()
           val uf = new Reference.UnionFind()
-          rest
-            .sortBy { case (_, _, w, ou, ov) => (w, math.min(ou, ov), math.max(ou, ov)) }
-            .foreach { case (u, v, w, ou, ov) =>
-              if (uf.union(u, v)) msf += ((math.min(ou, ov), math.max(ou, ov), w))
-            }
+          rest.sortBy(_._2)(byWeight).foreach { case (u, e) => if (uf.union(u, e.to)) msf += e.original }
           done = true
         } else {
           require(phases < maxPhases, s"no local finish within $maxPhases phases")
           phases += 1
-          // Shuffle 1: minimum incident edge per supervertex.
           metrics.shuffle(2 * edgeCount * GraphOps.WeightedEdgeBytes)
-          val sym = cur.flatMap { case (u, v, w, ou, ov) =>
-            Iterator((u, v, w, ou, ov), (v, u, w, ou, ov))
-          }
-          val minEdge = sym
-            .groupByKey(_._1)
-            .mapGroups { (u, it) =>
-              val best = it.reduceLeft { (a, b) =>
-                val ka = (a._3, math.min(a._4, a._5), math.max(a._4, a._5))
-                val kb = (b._3, math.min(b._4, b._5), math.max(b._4, b._5))
-                if (implicitly[Ordering[(Double, Long, Long)]].lteq(ka, kb)) a else b
-              }
-              (u, best._2, best._3, best._4, best._5)
-            }
-            .persist()
-
           // All minimum edges are MSF edges (cut property).
-          minEdge.collect().foreach { case (_, _, w, ou, ov) =>
-            msf += ((math.min(ou, ov), math.max(ou, ov), w))
-          }
+          msf ++= best.map(_.original)
 
           // Blue → red contraction.
           val phaseSeed = Priorities.splitmix64(seed ^ (1000L + phases))
           def red(x: Long): Boolean = (Priorities.splitmix64(x ^ phaseSeed) & 1L) == 0L
-          val parents = minEdge.flatMap { case (u, to, _, _, _) =>
-            if (!red(u) && red(to)) Iterator.single((u, to)) else Iterator.empty
-          }
+          val parents = minEdge.mapValues(_._1.to).filter { case (u, to) => !red(u) && red(to) }
 
-          // Shuffles 2–3: relabel both endpoints through the parent map.
+          // Shuffle 2: relabel src (a narrow join), then move each edge to its dst.
           metrics.shuffle(edgeCount * GraphOps.WeightedEdgeBytes)
-          val afterU = cur
-            .groupByKey(_._1)
-            .cogroup(parents.groupByKey(_._1)) { (u, eIt, pIt) =>
-              val p = pIt.map(_._2).toSeq.headOption.getOrElse(u)
-              eIt.map { case (_, v, w, ou, ov) => (v, p, w, ou, ov) } // keyed by v next
-            }
+          val byDst = shuffled(withParents(cur, parents)((e, pu) => Some((e.to, e.copy(to = pu)))))
+
+          // Shuffle 3: relabel dst (narrow again), drop self-loops and key
+          // by the new src, ready for the next phase.
           metrics.shuffle(edgeCount * GraphOps.WeightedEdgeBytes)
-          val next = afterU
-            .groupByKey(_._1)
-            .cogroup(parents.groupByKey(_._1)) { (v, eIt, pIt) =>
-              val p = pIt.map(_._2).toSeq.headOption.getOrElse(v)
-              eIt.flatMap { case (_, u2, w, ou, ov) =>
-                if (u2 == p) Iterator.empty // self-loop after contraction
-                else Iterator.single((u2, p, w, ou, ov))
-              }
-            }
-            .localCheckpoint() // truncate per-phase lineage
-          cur.unpersist()
-          minEdge.unpersist()
-          cur = next
+          cur = checkpoint(shuffled(withParents(byDst, parents)((e, pv) => Option.when(e.to != pv)((e.to, e.copy(to = pv))))))
         }
       }
       Result(msf.toSeq.distinct, phases, metrics.snapshot)
-    } finally metrics.close()
+    } finally {
+      kit.release()
+      metrics.close()
+    }
   }
 }

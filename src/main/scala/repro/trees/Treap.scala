@@ -85,12 +85,3 @@ object Treap {
     out.toMap
   }
 }
-
-/** In-memory MSF fallback used on contracted graphs — the role DenseMSF
-  * (Prop. 3.1) plays in the paper's implementation (§5.5): once a graph
-  * fits on one machine, run the classic algorithm there.
-  */
-object LocalMsf {
-  def run(edges: Seq[(Long, Long, Double)]): Seq[(Long, Long, Double)] =
-    repro.ref.Reference.kruskal(edges)
-}

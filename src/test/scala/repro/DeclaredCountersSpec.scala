@@ -2,7 +2,7 @@ package repro
 
 import repro.core.{AmpcMatching, AmpcMis, AmpcMsf, AmpcTwoCycle}
 import repro.graphs.{GraphGen, GraphOps}
-import repro.mpc.{MpcMatching, MpcMis}
+import repro.mpc.{MpcMatching, MpcMis, MpcMsf}
 
 /** Pins the declared Table 3 counters: shuffle counts and the bytes the
   * algorithms declare for them. The expected bytes follow from the input
@@ -48,6 +48,16 @@ class DeclaredCountersSpec extends SparkSpec {
       val mm = MpcMatching.run(spark, df, seed, localThreshold = 0)
       assert(mis.metrics.shuffles == 2L * mis.phases && mm.metrics.shuffles == 2L * mm.phases)
       assert((mis.metrics.shuffleBytes, mm.metrics.shuffleBytes) == mpcBytes(seed))
+    }
+
+  // (phases, bytes), recorded on the typed-Dataset Boruvka phases.
+  private val boruvka = Map(1L -> (11, 56832L), 2L -> (14, 64416L), 3L -> (13, 60576L))
+  for (seed <- seeds)
+    test(s"MPC MSF declares three shuffles per phase of fixed bytes (seed $seed)") {
+      val df = TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(edges(seed), seed))
+      val res = MpcMsf.run(spark, df, seed, localThreshold = 0)
+      assert(res.metrics.shuffles == 3L * res.phases)
+      assert((res.phases, res.metrics.shuffleBytes) == boruvka(seed))
     }
 
   test("an empty edge list declares zero bytes and does not throw") {

@@ -5,7 +5,7 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListe
 import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import repro.core.{AmpcMatching, AmpcMis, AmpcMsf, AmpcTwoCycle}
 import repro.graphs.GraphGen
-import repro.mpc.LocalContractionCC
+import repro.mpc.{LocalContractionCC, MpcMatching, MpcMis, MpcMsf}
 import scala.collection.mutable
 
 /** Upper bounds on the Spark jobs one algorithm call runs. At this scale
@@ -106,5 +106,35 @@ class SparkJobCountSpec extends SparkSpec {
     val g = cycles
     val cc = observe(LocalContractionCC.run(spark, g, 4, localThreshold = 64))
     assert(cc.shuffleStages <= 4 * cc.result.rounds + 2, s"${cc.shuffleStages} shuffle stages in ${cc.result.rounds} rounds")
+  }
+
+  /** The three rootset and Boruvka baselines with no in-memory finish, so
+    * every phase runs on Spark.
+    */
+  private lazy val mpcRuns = {
+    val df = TestGraphs.toDf(spark, edges)
+    val weighted = TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(edges, 4))
+    Seq(
+      ("MIS", 2, observe(MpcMis.run(spark, df, 4, localThreshold = 0).phases)),
+      ("MM", 2, observe(MpcMatching.run(spark, df, 4, localThreshold = 0).phases)),
+      ("MSF", 3, observe(MpcMsf.run(spark, weighted, 4, localThreshold = 0).phases)),
+    )
+  }
+
+  // One action per phase sizes the graph and takes the phase's rootset,
+  // matched pairs or minimum edges; one more finds the graph empty.
+  test("MPC MIS, MM and MSF run at most one Spark job per phase plus 2") {
+    val over = mpcRuns.collect { case (name, _, run) if run.jobs > run.result + 2 => s"$name: ${run.jobs} jobs in ${run.result} phases" }
+    assert(over.isEmpty, over.mkString("; "))
+  }
+
+  // Each declared shuffle writes in one stage, plus the one that sets up
+  // the adjacency or the edges keyed by src.
+  test("MPC MIS, MM and MSF write shuffle data in one stage per declared shuffle plus 1") {
+    val over = mpcRuns.collect {
+      case (name, perPhase, run) if run.shuffleStages > perPhase * run.result + 1 =>
+        s"$name: ${run.shuffleStages} shuffle stages in ${run.result} phases"
+    }
+    assert(over.isEmpty, over.mkString("; "))
   }
 }

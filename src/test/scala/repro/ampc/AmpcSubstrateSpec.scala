@@ -2,6 +2,16 @@ package repro.ampc
 
 import org.scalatest.funsuite.AnyFunSuite
 
+/** A copy of `x` made as a task's closure would receive it. */
+private object Serialized {
+  def apply[T](x: T): T = {
+    val bo = new java.io.ByteArrayOutputStream()
+    val oo = new java.io.ObjectOutputStream(bo)
+    oo.writeObject(x); oo.close()
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bo.toByteArray)).readObject().asInstanceOf[T]
+  }
+}
+
 class MetricsSpec extends AnyFunSuite {
   test("fresh ledgers are independent") {
     val a = Metrics.fresh("a"); val b = Metrics.fresh("b")
@@ -32,6 +42,14 @@ class MetricsSpec extends AnyFunSuite {
     threads.foreach(_.start()); threads.foreach(_.join())
     assert(m.snapshot.kvQueries == 8000)
     m.close()
+  }
+
+  test("a handle to a closed ledger throws, naming the id") {
+    val m = Metrics.fresh("closed")
+    val copy = Serialized(m)
+    m.close()
+    val e = intercept[IllegalStateException](copy.shuffle(1))
+    assert(e.getMessage.contains(m.id))
   }
 }
 
@@ -87,16 +105,20 @@ class DhtSpec extends AnyFunSuite {
     val m = Metrics.fresh("dht5")
     val d = DhtRegistry.create[String]("t", m)
     d.put(7L, "v", 1)
-    val bytes = {
-      val bo = new java.io.ByteArrayOutputStream()
-      val oo = new java.io.ObjectOutputStream(bo)
-      oo.writeObject(d); oo.close(); bo.toByteArray
-    }
-    val d2 = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes))
-      .readObject()
-      .asInstanceOf[Dht[String]]
-    assert(d2.get(7L).contains("v"))
+    assert(Serialized(d).get(7L).contains("v"))
     d.close(); m.close()
+  }
+
+  test("a read through a closed store throws, naming the id") {
+    val m = Metrics.fresh("dht7")
+    val d = DhtRegistry.create[String]("t", m)
+    d.put(7L, "v", 1)
+    val copy = Serialized(d)
+    d.close()
+    val e = intercept[IllegalStateException](copy.get(7L))
+    assert(e.getMessage.contains(d.id))
+    intercept[IllegalStateException](new Dht[String]("never-created", m).get(7L))
+    m.close()
   }
 }
 
@@ -118,6 +140,16 @@ class KvCacheSpec extends AnyFunSuite {
     assert(c.get(1L).isEmpty)
     assert(m.snapshot.cacheHits == 0 && c.size == 0)
     c.close(); m.close()
+  }
+
+  test("a handle to a closed cache throws, naming the id") {
+    val m = Metrics.fresh("kc3")
+    val c = KvCache.create[Boolean]("t", enabled = true, m)
+    val copy = Serialized(c)
+    c.close()
+    val e = intercept[IllegalStateException](copy.get(1L))
+    assert(e.getMessage.contains(c.id))
+    m.close()
   }
 }
 

@@ -49,4 +49,19 @@ class AmpcConnectivitySpec extends SparkSpec {
     assert(got.groupBy(_._2).values.map(_.keySet).toSet ==
       expected.groupBy(_._2).values.map(_.keys.toSet).toSet)
   }
+
+  // Both results are read again after the session's cache is dropped, as
+  // a caller that clears it between calls does.
+  test("labels and the MSF mapping read the same after a cache clear") {
+    val cc = AmpcConnectivity.run(spark, TestGraphs.toDf(spark, TestGraphs.randomEdges(40, 55, 3)), 3)
+    val weighted = TestGraphs.withWeights(TestGraphs.randomEdges(30, 70, 2), 2)
+    val msf = AmpcMsf.run(spark, TestGraphs.toWeightedDf(spark, weighted), 2)
+    def mapping = msf.mapping.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val (labels, roots) = (labelsOf(cc), mapping)
+    spark.catalog.clearCache()
+    assert(labelsOf(cc) == labels)
+    assert(mapping == roots)
+    assert(labels.values.toSet.size == cc.numComponents && cc.numComponents == 2)
+    assert(roots.values.toSet.size < roots.size)
+  }
 }

@@ -2,7 +2,6 @@ package repro.trees
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Priorities
-import repro.ref.Reference
 
 /** Tree toolkit tests: every structure is checked against brute force on
   * random trees.
@@ -220,10 +219,5 @@ class TreapSpec extends AnyFunSuite {
   test("treap rejects degree > 3") {
     val star = Seq((0L, 1L), (0L, 2L), (0L, 3L), (0L, 4L))
     intercept[IllegalArgumentException](Treap.build((0L to 4L), star, v => v))
-  }
-
-  test("LocalMsf delegates to kruskal") {
-    val es = Seq((0L, 1L, 2.0), (1L, 2L, 1.0), (0L, 2L, 3.0))
-    assert(LocalMsf.run(es).toSet == Reference.kruskal(es).toSet)
   }
 }
