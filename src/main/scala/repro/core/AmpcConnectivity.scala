@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.ampc.RunMetrics
 import repro.graphs.GraphOps
 import repro.ref.Reference
@@ -30,21 +29,17 @@ object AmpcConnectivity {
       seed: Long,
       searchBudget: Int = 64,
   ): Result = {
+    import spark.implicits._
     val weighted = GraphOps.withRandomWeights(edges.select("src", "dst"), seed + 7)
-    val msf = AmpcMsf.run(spark, weighted, seed, searchBudget)
+    val c = AmpcMsf.contract(spark, weighted, seed, searchBudget)
+    val contracted = c.result.contracted
 
-    // Components of the contracted graph, solved on one machine.
-    val roots = (msf.contracted.flatMap(c => Seq(c._1, c._2)) ++
-      msf.mapping.select("root").distinct().collect().map(_.getLong(0))).distinct
-    val rootComp =
-      Reference.connectedComponents(roots, msf.contracted.map(c => (c._1, c._2)))
-
-    val compOf = udf((root: Long) => rootComp.getOrElse(root, root))
-    val labels = msf.mapping
-      .select(col("id"), compOf(col("root")) as "component")
-      .persist()
-    // The components the labels take, counted on the driver.
-    val num = roots.map(r => rootComp.getOrElse(r, r)).distinct.size.toLong
-    Result(labels, num, msf.metrics)
+    // Components of the contracted graph, solved on one machine. A root
+    // with no contracted edge is a component of its own.
+    val linked = contracted.flatMap(e => Seq(e._1, e._2)).distinct
+    val rootComp = Reference.connectedComponents(linked, contracted.map(e => (e._1, e._2)))
+    val labels = c.mapping.map { case (v, root) => (v, rootComp.getOrElse(root, root)) }.toDF("id", "component")
+    val num = rootComp.values.toSet.size + (c.roots - linked.size)
+    Result(labels, num, c.result.metrics)
   }
 }

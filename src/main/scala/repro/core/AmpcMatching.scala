@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{Dht, DhtRegistry, KvCache, Metrics, RunMetrics}
-import repro.graphs.GraphOps
+import repro.graphs.{CoPartitioned, GraphOps}
 
 /** Rank-sorted incidence list of one vertex: parallel arrays of edge
   * ranks and the corresponding neighbor ids, ascending by (rank, nbr).
@@ -44,37 +44,34 @@ object AmpcMatching {
       queryBudget: Long = Long.MaxValue,
       budgetGrowth: Long = 16,
   ): Result = {
-    import spark.implicits._
     val metrics = Metrics.fresh("ampc-mm")
     val dht = DhtRegistry.create[EdgeAdj]("mm-adj", metrics)
     // Per-vertex caches (the §5.4 caching optimization): matched partner,
     // and "finished up to rank R" watermark.
     val matchedCache = KvCache.create[Long]("mm-matched", caching, metrics)
     val finishedCache = KvCache.create[Long]("mm-finished", caching, metrics)
+    val kit = new CoPartitioned(spark)
     try {
-      val sym = GraphOps.symmetrize(edges.select("src", "dst")).as[(Long, Long)]
-
       // The single shuffle: group incident edges per vertex, sorted by rank.
-      val adj = sym
-        .groupByKey(_._1)
-        .mapGroups { (v, it) =>
-          val pairs = it.map { case (_, u) => (Priorities.edgeRank(v, u, seed), u) }.toArray
-          val sorted = pairs.sortBy { case (r, u) => (r, u) }
+      val adj = kit.keep(kit.adjacency(edges).mapPartitions(
+        _.map { case (v, ns) =>
+          val sorted = ns.map(u => (Priorities.edgeRank(v, u, seed), u)).sortBy { case (r, u) => (r, u) }
           (v, EdgeAdj(sorted.map(_._1), sorted.map(_._2)))
-        }
+        },
+        preservesPartitioning = true,
+      ))
 
       // Every edge is listed at both endpoints: the write sums 2m.
-      val (_, twoM) = AmpcRound.write(adj, dht, 16)(_.length)
+      val (_, twoM, _) = AmpcRound.write(kit, adj, dht, 16)(_.length)
       metrics.shuffle(twoM * GraphOps.EdgeBytes)
 
       val (answers, passes) = AmpcRound.resolve(adj, queryBudget, budgetGrowth) { (v, a, b) =>
         MatchingProcess.vertexProcess(v, a, seed, dht, matchedCache, finishedCache, metrics, b)
       }
-      adj.unpersist()
       val matched = answers.collect { case (v, Some(p)) => (math.min(v, p), math.max(v, p)) }
       Result(matched.toSet, passes, metrics.snapshot)
     } finally {
-      dht.close(); matchedCache.close(); finishedCache.close(); metrics.close()
+      kit.release(); dht.close(); matchedCache.close(); finishedCache.close(); metrics.close()
     }
   }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{Dht, DhtRegistry, KvCache, Metrics, RunMetrics}
-import repro.graphs.GraphOps
+import repro.graphs.{CoPartitioned, GraphOps}
 
 /** AMPC Maximal Independent Set — Figure 1 of the paper.
   *
@@ -40,39 +40,35 @@ object AmpcMis {
       queryBudget: Long = Long.MaxValue,
       budgetGrowth: Long = 16,
   ): Result = {
-    import spark.implicits._
     val metrics = Metrics.fresh("ampc-mis")
     val dht = DhtRegistry.create[Array[Long]]("mis-adj", metrics)
     val cache = KvCache.create[Boolean]("mis-res", caching, metrics)
+    val kit = new CoPartitioned(spark)
     try {
-      val sym = GraphOps.symmetrize(edges.select("src", "dst")).as[(Long, Long)]
-
       // Step (1): DirectEdgesUsingPriority — the algorithm's one shuffle.
-      val directed = sym
-        .groupByKey(_._1)
-        .mapGroups { (v, it) =>
+      // Each vertex keeps the neighbors that precede it, sorted by rank.
+      val directed = kit.keep(kit.adjacency(edges).mapPartitions(
+        _.map { case (v, ns) =>
           val vr = Priorities.vertexRank(v, seed)
-          val preds = it
-            .map(_._2)
-            .filter(u => Priorities.precedes(Priorities.vertexRank(u, seed), u, vr, v))
-            .toArray
+          val preds = ns.filter(u => Priorities.precedes(Priorities.vertexRank(u, seed), u, vr, v))
           (v, preds.sortBy(u => (Priorities.vertexRank(u, seed), u)))
-        }
+        },
+        preservesPartitioning = true,
+      ))
 
       // Step (2): write the directed graph to the key-value store. Each
       // undirected edge survives in exactly one direction, so the lengths
       // the write sums give m, the directed rows step (1) shuffled.
-      val (_, m) = AmpcRound.write(directed, dht, 8)(_.length)
+      val (_, m, _) = AmpcRound.write(kit, directed, dht, 8)(_.length)
       metrics.shuffle(m * GraphOps.EdgeBytes)
 
       // Step (3): ParDo the IsInMIS query process over all vertices.
       val (answers, passes) = AmpcRound.resolve(directed, queryBudget, budgetGrowth) { (v, adj, b) =>
         QueryProcess.inMis(v, adj, seed, dht, cache, metrics, b)
       }
-      directed.unpersist()
       Result(answers.collect { case (v, true) => v }.toSet, passes, metrics.snapshot)
     } finally {
-      dht.close(); cache.close(); metrics.close()
+      kit.release(); dht.close(); cache.close(); metrics.close()
     }
   }
 }

@@ -1,10 +1,11 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.ampc.{Dht, DhtRegistry, KvCache, Metrics, RunMetrics}
-import repro.graphs.GraphOps
+import repro.graphs.{CoPartitioned, GraphOps}
 import repro.ref.Reference
+import scala.collection.mutable
 
 /** Weight-sorted incidence list: neighbors and weights ascending by
   * (weight, canonical endpoints) — Prim's pop order.
@@ -45,6 +46,12 @@ final case class SearchOut(kind: Int, a: Long, b: Long, w: Double)
   *     Prop. 3.1's DenseMSF plays; the paper's implementation does the
   *     same).
   *
+  * Every table is a pair RDD on the [[CoPartitioned]] kit, and a run takes
+  * four Spark jobs: steps 1, 2–3 (the parents are written in the job that
+  * combines them), 4–5 (the mapping is a map over the DHT, so the engine
+  * sees four shuffles for the five declared), and the collect of the
+  * searches' MSF edges.
+  *
   * The paper found one search round (without ternarization) shrinks the
   * graph enough in practice; `Ternarize` + this routine compose into the
   * theoretical Algorithm 2 (see tests).
@@ -62,99 +69,107 @@ object AmpcMsf {
       metrics: RunMetrics,
   )
 
+  /** A run's [[Result]], with its mapping as the pair RDD the result's
+    * DataFrame reads, and the number of roots (the vertices no search
+    * gave a parent).
+    */
+  private[core] final case class Contraction(result: Result, mapping: RDD[(Long, Long)], roots: Long)
+
+  /** One incident edge of a vertex as shuffled: the neighbor, the weight,
+    * and whether the input row named this vertex as its src. Primitive
+    * fields, as Java serialization of boxed tuples is slower.
+    */
+  private final case class Arc(to: Long, w: Double, out: Boolean)
+
+  /** A vertex's row: its weight-sorted adjacency, and `out(i)` iff the
+    * input row of its i-th edge named this vertex as its src.
+    */
+  private final case class Incident(adj: WeightAdj, out: Array[Boolean])
+
+  /** An input edge row on its way through the contraction, with the root
+    * of the endpoint it was last keyed by.
+    */
+  private final case class Relabeled(src: Long, dst: Long, w: Double, root: Long)
+
+  /** The lighter of two rows by (weight, src, dst). */
+  private def lighter(a: Relabeled, b: Relabeled): Relabeled = {
+    val c = java.lang.Double.compare(a.w, b.w)
+    if (c < 0 || c == 0 && (a.src < b.src || a.src == b.src && a.dst <= b.dst)) a else b
+  }
+
   def run(
       spark: SparkSession,
       weightedEdges: DataFrame,
       seed: Long,
       searchBudget: Int = 64,
-  ): Result = {
+  ): Result = contract(spark, weightedEdges, seed, searchBudget).result
+
+  private[core] def contract(spark: SparkSession, weightedEdges: DataFrame, seed: Long, searchBudget: Int): Contraction = {
     import spark.implicits._
     val metrics = Metrics.fresh("ampc-msf")
     val adjDht = DhtRegistry.create[WeightAdj]("msf-adj", metrics)
     val parentDht = DhtRegistry.create[Long]("msf-parent", metrics)
     val rootCache = KvCache.create[Long]("msf-root", enabled = true, metrics)
+    val kit = new CoPartitioned(spark)
     try {
-      val sym = GraphOps
-        .symmetrize(weightedEdges.select("src", "dst", "weight"))
-        .as[(Long, Long, Double)]
-
       // Part 1: SortGraph (shuffle 1) + KV-Write. The write counts the
       // vertices and sums their degrees to 2m.
-      val adj = sym
-        .groupByKey(_._1)
-        .mapGroups { (v, it) =>
-          val arr = it.map { case (_, u, w) => (u, w) }.toArray
-          val sorted = arr.sortBy { case (u, w) => (w, math.min(v, u), math.max(v, u)) }
-          (v, WeightAdj(sorted.map(_._1), sorted.map(_._2)))
-        }
-      val (nVertices, twoM) = AmpcRound.write(adj, adjDht, 16)(_.length)
+      val rows = kit.keep(kit.shuffled(kit.triples(weightedEdges).flatMap { case (u, v, w) =>
+        Iterator((u, Arc(v, w, out = true)), (v, Arc(u, w, out = false)))
+      }).mapPartitions(
+        { it =>
+          val arcs = mutable.LongMap.empty[mutable.ArrayBuffer[Arc]]
+          it.foreach { case (v, a) => arcs.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += a }
+          arcs.iterator.map { case (v, as) =>
+            val sorted = as.sortBy(a => (a.w, math.min(v, a.to), math.max(v, a.to)))
+            (v, Incident(WeightAdj(sorted.map(_.to).toArray, sorted.map(_.w).toArray), sorted.map(_.out).toArray))
+          }
+        },
+        preservesPartitioning = true,
+      ))
+      val (nVertices, twoM, _) = AmpcRound.write(kit, rows.mapValues(_.adj), adjDht, 16)(_.length)
       val m = twoM / 2
       metrics.shuffle(2 * m * GraphOps.WeightedEdgeBytes)
 
       // Part 2: PrimSearch from every vertex.
       val budget = searchBudget
-      val searchOut = adj
-        .mapPartitions { it =>
-          it.flatMap { case (v, a) =>
-            TruncatedPrim.search(v, a, seed, adjDht, metrics, budget)
-          }
-        }
-        .persist()
+      val searchOut = kit.keep(rows.mapPartitions(_.flatMap { case (v, r) =>
+        TruncatedPrim.search(v, r.adj, seed, adjDht, metrics, budget)
+      }))
 
-      // Shuffle 2: combine visit tuples per visited vertex, selecting the
-      // highest-priority (lowest-rank) visitor as its parent. (The MSF
-      // edges emitted by the searches ride along in the same round.) Each
-      // group also reports its size, so the parent write sums the visits.
-      val parents = searchOut
-        .filter(_.kind == 1)
-        .groupByKey(_.a)
-        .mapGroups { (child, it) =>
-          var size = 0L
-          val best = it
-            .map { o => size += 1; o.b }
-            .reduceLeft { (x, y) =>
-              if (Priorities.precedes(
-                    Priorities.vertexRank(x, seed), x,
-                    Priorities.vertexRank(y, seed), y)) x
-              else y
-            }
-          (child, best, size)
-        }
-      val visits = spark.sparkContext.longAccumulator
-      parents.foreachPartition { it: Iterator[(Long, Long, Long)] =>
-        it.foreach { case (c, p, k) => parentDht.put(c, p, 16); visits.add(k) }
-      }
-      metrics.shuffle(visits.sum * GraphOps.EdgeBytes)
+      // Shuffle 2: combine visit tuples per visited vertex on the map side,
+      // keeping the highest-priority (lowest-rank) visitor as its parent
+      // and counting the visits, then write the parents in the same job.
+      // (The MSF edges emitted by the searches ride along in the same round.)
+      def higher(x: Long, y: Long): Long =
+        if (Priorities.precedes(Priorities.vertexRank(x, seed), x, Priorities.vertexRank(y, seed), y)) x else y
+      val parents = kit.combined[Long, Long, (Long, Long)](searchOut.flatMap(o => Option.when(o.kind == 1)((o.a, o.b))))(
+        (_, 1L), (c, b) => (higher(c._1, b), c._2 + 1), (c, d) => (higher(c._1, d._1), c._2 + d._2))
+      val (children, visits, _) = kit.tally(parents.map { case (c, (p, k)) => parentDht.put(c, p, 16); k })(identity, _ => None)
+      metrics.shuffle(visits * GraphOps.EdgeBytes)
 
       // Shuffle 3: pointer-jump construction — materialize vertex → root.
-      // The contraction's jobs compute and checkpoint it, so the mapping
+      // The contraction's job computes and checkpoints it, so the mapping
       // keeps no lineage back to the DHT, which `run` closes.
       metrics.shuffle(nVertices * GraphOps.EdgeBytes)
-      val mapping = adj.rdd
-        .mapPartitions(_.map { case (v, _) => (v, PointerJump.root(v, parentDht, rootCache, metrics)) })
+      val mapping = rows
+        .mapPartitions(_.map { case (v, _) => (v, PointerJump.root(v, parentDht, rootCache, metrics)) }, preservesPartitioning = true)
         .localCheckpoint()
-        .toDF("id", "root")
 
-      // Shuffles 4–5: contract the graph through the mapping.
+      // Shuffles 4–5: contract the graph through the mapping. Each input
+      // row leaves the row of its src with the src's root (a narrow
+      // lookup), moves to its dst, takes the dst's root (narrow again),
+      // and the lightest row per supervertex pair is kept.
       metrics.shuffle(m * GraphOps.WeightedEdgeBytes)
-      val relabeled = weightedEdges
-        .select("src", "dst", "weight")
-        .join(mapping.withColumnRenamed("id", "src").withColumnRenamed("root", "rootU"), "src")
-        .join(mapping.withColumnRenamed("id", "dst").withColumnRenamed("root", "rootV"), "dst")
-        .where(col("rootU") =!= col("rootV"))
-        .select(
-          least(col("rootU"), col("rootV")) as "cu",
-          greatest(col("rootU"), col("rootV")) as "cv",
-          col("src"), col("dst"), col("weight"),
-        )
+      val atDst = kit.shuffled(kit.lookup(rows, mapping) { (v, r: Incident, root: Option[Long]) =>
+        r.out.indices.iterator.collect { case i if r.out(i) => (r.adj.nbrs(i), Relabeled(v, r.adj.nbrs(i), r.adj.ws(i), root.get)) }
+      })
       metrics.shuffle(m * GraphOps.WeightedEdgeBytes / 4)
-      val contracted = relabeled
-        .groupBy("cu", "cv")
-        .agg(min(struct(col("weight"), col("src"), col("dst"))) as "e")
-        .select(col("cu"), col("cv"), col("e.src") as "src", col("e.dst") as "dst", col("e.weight") as "weight")
-        .collect()
-        .map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getLong(3), r.getDouble(4)))
-        .toSeq
+      val crossing = kit.lookup(atDst, mapping) { (_, e: Relabeled, root: Option[Long]) =>
+        val rv = root.get
+        Option.when(e.root != rv)(((math.min(e.root, rv), math.max(e.root, rv)), e))
+      }
+      val contracted = kit.reduced(crossing)(lighter).collect().toSeq.map { case ((cu, cv), e) => (cu, cv, e.src, e.dst, e.w) }
 
       // In-memory MSF on the contracted graph: Kruskal keyed by roots,
       // emitting the original endpoints of each chosen edge.
@@ -164,18 +179,14 @@ object AmpcMsf {
         .filter { case (cu, cv, _, _, _) => uf.union(cu, cv) }
         .map { case (_, _, s, d, w) => (math.min(s, d), math.max(s, d), w) }
 
-      val primEdges = searchOut
-        .filter(_.kind == 0)
-        .map(e => (e.a, e.b, e.w))
-        .collect()
-        .toSeq
+      val primEdges = searchOut.flatMap(e => Option.when(e.kind == 0)((e.a, e.b, e.w))).collect().toSeq
 
       val msf = (primEdges ++ extra).distinct
       val nContracted = contracted.flatMap(c => Seq(c._1, c._2)).distinct.size.toLong
-      searchOut.unpersist(); adj.unpersist()
-      Result(msf, mapping, contracted, nContracted, metrics.snapshot)
+      val result = Result(msf, mapping.toDF("id", "root"), contracted, nContracted, metrics.snapshot)
+      Contraction(result, mapping, nVertices - children)
     } finally {
-      adjDht.close(); parentDht.close(); rootCache.close(); metrics.close()
+      kit.release(); adjDht.close(); parentDht.close(); rootCache.close(); metrics.close()
     }
   }
 }

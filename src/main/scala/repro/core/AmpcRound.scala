@@ -1,46 +1,46 @@
 package repro.core
 
-import org.apache.spark.sql.Dataset
+import org.apache.spark.rdd.RDD
 import repro.ampc.Dht
+import repro.graphs.CoPartitioned
+import scala.reflect.ClassTag
 
 /** The AMPC round the algorithms of this package share (Fig. 1,
-  * §5.4–§5.6): one shuffle builds a row per vertex (each caller's own
-  * `groupByKey`/`mapGroups`), [[write]] puts the rows into the DHT, and
-  * the next round queries the DHT adaptively from every vertex, where
-  * [[resolve]] retries the vertices whose query ran out of budget.
+  * §5.4–§5.6), in two Spark jobs. The caller builds one row per vertex as
+  * a pair RDD on the [[CoPartitioned]] kit's partitioner, and keeps it
+  * when the query job reads it again. [[write]] is the first job: it runs
+  * the round's one shuffle and puts every row into the DHT. [[resolve]] is
+  * the second: it queries the DHT adaptively from every vertex, and
+  * retries the vertices whose query ran out of budget. `write` is an
+  * action that returns once every row is in the DHT, so no query reads
+  * the DHT before the write has finished: the round barrier of [19] holds
+  * by construction.
   */
 private[core] object AmpcRound {
 
-  /** Persist `rows` and write each one to `dht` at
-    * `perEntry * length + 8` bytes, in one Spark action that also counts
-    * the rows and sums their lengths. The caller unpersists `rows`.
+  /** Write each of `rows` to `dht` at `perEntry * length + 8` bytes, in one
+    * Spark action that also counts the rows, sums their lengths and
+    * collects what `pick` selects.
     *
-    * @return (vertices, summed lengths)
+    * @return (vertices, summed lengths, picked items)
     */
-  def write[V](rows: Dataset[(Long, V)], dht: Dht[V], perEntry: Int)(length: V => Int): (Long, Long) = {
-    val sc = rows.sparkSession.sparkContext
-    requireLocal(sc.master)
-    rows.persist()
-    val vertices = sc.longAccumulator
-    val entries = sc.longAccumulator
-    rows.foreachPartition { it: Iterator[(Long, V)] =>
-      it.foreach { case (v, a) =>
-        val len = length(a)
-        dht.put(v, a, perEntry * len + 8); vertices.add(1); entries.add(len)
-      }
-    }
-    (vertices.sum, entries.sum)
+  def write[V, R: ClassTag](kit: CoPartitioned, rows: RDD[(Long, V)], dht: Dht[V], perEntry: Int)(
+      length: V => Int,
+      pick: ((Long, V)) => Option[R] = (_: (Long, V)) => None,
+  ): (Long, Long, Array[R]) = {
+    requireLocal(rows.sparkContext.master)
+    val written = rows.map { case r @ (v, a) => dht.put(v, a, perEntry * length(a) + 8); r }
+    kit.tally(written)(r => length(r._2).toLong, pick)
   }
 
   /** Run `query(v, row, budget)` from every row, one Spark job per pass.
     * A `None` answer means the query ran out of budget; those rows are
     * retried in a further pass with the budget multiplied by `growth`
-    * (the O(1/ε)-step truncation schedule of [19]). Runs on `rows.rdd`,
-    * so the answer type needs no Spark encoder.
+    * (the O(1/ε)-step truncation schedule of [19]).
     *
     * @return every row's answer, and the number of passes
     */
-  def resolve[V, R](rows: Dataset[(Long, V)], budget: Long, growth: Long)(
+  def resolve[V, R](rows: RDD[(Long, V)], budget: Long, growth: Long)(
       query: (Long, V, Long) => Option[R]
   ): (Seq[(Long, R)], Int) = {
     require(
@@ -49,7 +49,7 @@ private[core] object AmpcRound {
         "(need budget >= 1 and growth >= 2)",
     )
     val answers = scala.collection.mutable.ArrayBuffer.empty[(Long, R)]
-    var pending = rows.rdd
+    var pending = rows
     var b = budget
     var passes = 0
     var done = false

@@ -2,12 +2,12 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{DhtRegistry, Metrics, RunMetrics}
-import repro.graphs.GraphOps
+import repro.graphs.{CoPartitioned, GraphOps}
 import repro.ref.Reference
 
 /** One walk's outcome: it started at sample `from`, stepped first onto
   * `firstStep`, passed `interior` unsampled vertices and stopped at
-  * sample `to`. (Top-level so Spark codegen can construct it.)
+  * sample `to`.
   */
 final case class Segment(from: Long, to: Long, interior: Long, firstStep: Long)
 
@@ -43,40 +43,29 @@ object AmpcTwoCycle {
       seed: Long,
       sampleInv: Int = 64,
   ): Result = {
-    import spark.implicits._
     val metrics = Metrics.fresh("ampc-2cyc")
     val dht = DhtRegistry.create[Array[Long]]("2cyc-adj", metrics)
+    val kit = new CoPartitioned(spark)
     try {
-      val sym = GraphOps.symmetrize(edges.select("src", "dst")).as[(Long, Long)]
+      val (s2, inv) = (Priorities.splitmix64(seed), sampleInv.toLong)
+      def isSampled(v: Long): Boolean =
+        java.lang.Long.remainderUnsigned(Priorities.splitmix64(v ^ s2), inv) == 0L
 
       // The single shuffle: per-vertex adjacency, written to the DHT. The
-      // write counts the n vertices and sums their degrees to 2m.
-      val adj = sym
-        .groupByKey(_._1)
-        .mapGroups { (v, it) => (v, it.map(_._2).toArray.sorted) }
-      val (n, twoM) = AmpcRound.write(adj, dht, 8)(_.length)
+      // write counts the n vertices, sums their degrees to 2m and picks
+      // the samples.
+      val adj = kit.adjacency(edges)
+      val (n, twoM, picked) = AmpcRound.write(kit, adj, dht, 8)(_.length, r => Option.when(isSampled(r._1))(r._1))
       metrics.shuffle(twoM * GraphOps.EdgeBytes)
 
-      def isSampled(v: Long): Boolean =
-        java.lang.Long.remainderUnsigned(
-          Priorities.splitmix64(v ^ Priorities.splitmix64(seed)),
-          sampleInv.toLong,
-        ) == 0L
-
-      var sampledIds = adj.filter(p => isSampled(p._1)).map(_._1).collect().sorted
-      if (sampledIds.isEmpty && n > 0) {
-        // Deterministic fallback so the walk phase has somewhere to start.
-        sampledIds = Array(adj.map(_._1).reduce(math.min(_, _)))
-      }
+      // Deterministic fallback so the walk phase has somewhere to start.
+      val sampledIds = if (picked.isEmpty && n > 0) Array(adj.keys.min()) else picked.sorted
       val forced = sampledIds.toSet
-      val inv = sampleInv.toLong
-      val s2 = Priorities.splitmix64(seed)
-      def stopAt(v: Long): Boolean =
-        java.lang.Long.remainderUnsigned(Priorities.splitmix64(v ^ s2), inv) == 0L || forced(v)
+      def stopAt(v: Long): Boolean = isSampled(v) || forced(v)
 
       // Walk outward from every sample, in both directions, through the DHT.
-      val sampleDs = spark.createDataset(sampledIds.toIndexedSeq)
-      val segments = sampleDs
+      val segments = spark.sparkContext
+        .parallelize(sampledIds.toIndexedSeq)
         .mapPartitions { it =>
           it.flatMap { v =>
             val nbrs = dht.require(v)
@@ -122,7 +111,6 @@ object AmpcTwoCycle {
         crossOnce.map(_.interior).sum + selfOnce.map(_.interior).sum + sampledIds.length.toLong
       val exact = covered >= n
       val num = comps + (if (exact) 0L else 1L)
-      adj.unpersist()
       Result(num, exact, sampledIds.length.toLong, math.min(covered, n), metrics.snapshot)
     } finally {
       dht.close(); metrics.close()

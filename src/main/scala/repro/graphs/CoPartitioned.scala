@@ -1,6 +1,6 @@
-package repro.mpc
+package repro.graphs
 
-import org.apache.spark.HashPartitioner
+import org.apache.spark.{HashPartitioner, Unpersist}
 import org.apache.spark.rdd.{RDD, ShuffledRDD}
 import org.apache.spark.serializer.JavaSerializer
 import org.apache.spark.sql.{DataFrame, SparkSession}
@@ -8,14 +8,14 @@ import org.apache.spark.storage.StorageLevel
 import scala.collection.mutable
 import scala.reflect.ClassTag
 
-/** The pair-RDD plumbing the MPC baselines share. Every table is keyed by
-  * vertex under one `HashPartitioner`, so a lookup of one table's rows in
-  * another is a narrow join (co-partitioning as in Zaharia et al., NSDI
-  * 2012), and the only wide steps left are the shuffles an algorithm
-  * declares. One instance serves one run, and holds the RDDs it keeps
-  * until [[release]].
+/** The pair-RDD plumbing the AMPC rounds and the MPC baselines share.
+  * Every table is keyed by vertex under one `HashPartitioner`, so a lookup
+  * of one table's rows in another is a narrow join (co-partitioning as in
+  * Zaharia et al., NSDI 2012), and the only wide steps left are the
+  * shuffles an algorithm declares. One instance serves one run, and holds
+  * the RDDs it keeps until [[release]].
   */
-private[mpc] final class CoPartitioned(spark: SparkSession) {
+private[repro] final class CoPartitioned(spark: SparkSession) {
   private val part = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
   // Spark picks Kryo for a shuffle of primitive keys and values, and Kryo
   // cannot start on Java 17 without `--add-opens`; name Java's instead.
@@ -28,23 +28,26 @@ private[mpc] final class CoPartitioned(spark: SparkSession) {
   /** `rdd`, cached by the first action that computes it. */
   def keep[T](rdd: RDD[T]): RDD[T] = { held += rdd.persist(StorageLevel.MEMORY_AND_DISK); rdd }
 
-  /** Drops every RDD [[checkpoint]] or [[keep]] took. */
-  def release(): Unit = held.foreach(_.unpersist(blocking = false))
+  /** Drops the blocks of every RDD [[checkpoint]] or [[keep]] took. Not
+    * through `RDD.unpersist`, which warns for each locally checkpointed one
+    * that its lineage is gone: here that is the intent.
+    */
+  def release(): Unit = held.foreach(Unpersist(_))
 
   /** `rdd` moved to the partitions of its keys. */
   def shuffled[V: ClassTag](rdd: RDD[(Long, V)]): RDD[(Long, V)] =
     new ShuffledRDD[Long, V, V](rdd, part).setSerializer(ser)
 
   /** One value per key, combined on the map side before the shuffle. */
-  def combined[V: ClassTag, C: ClassTag](rdd: RDD[(Long, V)])(create: V => C, add: (C, V) => C, merge: (C, C) => C): RDD[(Long, C)] =
+  def combined[K: ClassTag, V: ClassTag, C: ClassTag](rdd: RDD[(K, V)])(create: V => C, add: (C, V) => C, merge: (C, C) => C): RDD[(K, C)] =
     rdd.combineByKeyWithClassTag(create, add, merge, part, mapSideCombine = true, ser)
 
-  def reduced[V: ClassTag](rdd: RDD[(Long, V)])(f: (V, V) => V): RDD[(Long, V)] =
+  def reduced[K: ClassTag, V: ClassTag](rdd: RDD[(K, V)])(f: (V, V) => V): RDD[(K, V)] =
     combined(rdd)(identity[V], f, f)
 
   /** The distinct values of every key. */
   def grouped(rdd: RDD[(Long, Long)]): RDD[(Long, mutable.HashSet[Long])] =
-    combined[Long, mutable.HashSet[Long]](rdd)(mutable.HashSet(_), _ += _, _ ++= _)
+    combined[Long, Long, mutable.HashSet[Long]](rdd)(mutable.HashSet(_), _ += _, _ ++= _)
 
   /** One row per vertex of `edges`' (src, dst) rows taken both ways: its
     * neighbors in ascending order, a repeated edge repeated.
@@ -63,6 +66,12 @@ private[mpc] final class CoPartitioned(spark: SparkSession) {
   def pairs(edges: DataFrame): RDD[(Long, Long)] = {
     import spark.implicits._
     edges.select("src", "dst").as[(Long, Long)].rdd
+  }
+
+  /** `edges`' (src, dst, weight) rows as given. */
+  def triples(edges: DataFrame): RDD[(Long, Long, Double)] = {
+    import spark.implicits._
+    edges.select("src", "dst", "weight").as[(Long, Long, Double)].rdd
   }
 
   /** `f(key, value, table's value for the key)` for every row. This is a

@@ -4,7 +4,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{Metrics, RunMetrics}
 import repro.core.Priorities.{precedes, splitmix64, vertexRank}
-import repro.graphs.GraphOps
+import repro.graphs.{CoPartitioned, GraphOps}
 import repro.ref.Reference
 import scala.collection.mutable
 

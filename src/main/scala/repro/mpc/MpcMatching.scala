@@ -4,6 +4,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{Metrics, RunMetrics}
 import repro.core.Priorities
+import repro.graphs.CoPartitioned
 import repro.ref.Reference
 import scala.collection.mutable
 
@@ -55,7 +56,7 @@ object MpcMatching {
         // so edge (v,u) is recognized at both endpoints as matched iff its
         // rank is minimal at v AND at u. A narrow lookup then takes the
         // decision at every vertex.
-        val mins = kit.combined[(Long, Long), mutable.LongMap[Long]](adj.flatMap { case (v, (ns, rs)) =>
+        val mins = kit.combined[Long, (Long, Long), mutable.LongMap[Long]](adj.flatMap { case (v, (ns, rs)) =>
           rs.minOption.iterator.flatMap(mv => ns.iterator.map(u => (u, (v, mv))))
         })(mutable.LongMap(_), _ += _, _ ++= _)
         // Each row with the neighbor it is matched to this phase, if any.

@@ -3,6 +3,7 @@ package repro.mpc
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{Metrics, RunMetrics}
 import repro.core.Priorities
+import repro.graphs.CoPartitioned
 import repro.ref.Reference
 import scala.collection.mutable
 

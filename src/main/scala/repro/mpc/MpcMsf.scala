@@ -4,7 +4,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{Metrics, RunMetrics}
 import repro.core.Priorities
-import repro.graphs.GraphOps
+import repro.graphs.{CoPartitioned, GraphOps}
 import repro.ref.Reference
 import scala.collection.mutable
 
@@ -51,14 +51,13 @@ object MpcMsf {
       localThreshold: Long = 2048,
       maxPhases: Int = 200,
   ): Result = {
-    import spark.implicits._
     val metrics = Metrics.fresh("mpc-msf")
     val kit = new CoPartitioned(spark)
     import kit.{checkpoint, shuffled, withParents}
     try {
       // Working edges, keyed by current src.
       var cur: RDD[(Long, Edge)] = checkpoint(shuffled(
-        weightedEdges.select("src", "dst", "weight").as[(Long, Long, Double)].rdd.map { case (u, v, w) => (u, Edge(v, w, u, v)) }))
+        kit.triples(weightedEdges).map { case (u, v, w) => (u, Edge(v, w, u, v)) }))
 
       val msf = mutable.Set.empty[(Long, Long, Double)]
       var phases = 0
@@ -66,7 +65,7 @@ object MpcMsf {
       while (!done) {
         // Shuffle 1 (declared below, once the phase is known to run): the
         // minimum incident edge and the degree of every supervertex.
-        val minEdge = kit.keep(kit.combined[Edge, (Edge, Long)](cur.flatMap { case (u, e) =>
+        val minEdge = kit.keep(kit.combined[Long, Edge, (Edge, Long)](cur.flatMap { case (u, e) =>
           Iterator((u, e), (e.to, e.copy(to = u)))
         })(e => (e, 1L), (a, e) => (byWeight.min(a._1, e), a._2 + 1), (a, b) => (byWeight.min(a._1, b._1), a._2 + b._2)))
         val (_, degrees, best) = kit.tally(minEdge)(_._2._2, r => Some(r._2._1))

@@ -3,7 +3,7 @@ package repro
 import org.apache.spark.ListenerDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart, SparkListenerStageCompleted}
 import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
-import repro.core.{AmpcMatching, AmpcMis, AmpcMsf, AmpcTwoCycle}
+import repro.core.{AmpcConnectivity, AmpcMatching, AmpcMis, AmpcMsf, AmpcTwoCycle}
 import repro.graphs.GraphGen
 import repro.mpc.{LocalContractionCC, MpcMatching, MpcMis, MpcMsf}
 import scala.collection.mutable
@@ -71,27 +71,48 @@ class SparkJobCountSpec extends SparkSpec {
 
   private val edges = TestGraphs.randomEdges(60, 150, 4)
 
-  test("AMPC MIS and MM run at most 4 Spark jobs") {
+  /** AMPC MIS, MM and uncached MM: one round each. */
+  private lazy val ampcRuns = {
     val df = TestGraphs.toDf(spark, edges)
-    val mis = jobsOf(AmpcMis.run(spark, df, 4))
-    val mm = jobsOf(AmpcMatching.run(spark, df, 4))
-    val mmNoCache = jobsOf(AmpcMatching.run(spark, df, 4, caching = false))
-    assert(mis <= 4 && mm <= 4 && mmNoCache <= 4, s"MIS $mis, MM $mm, uncached MM $mmNoCache jobs")
+    Seq(
+      "MIS" -> observe(AmpcMis.run(spark, df, 4)),
+      "MM" -> observe(AmpcMatching.run(spark, df, 4)),
+      "uncached MM" -> observe(AmpcMatching.run(spark, df, 4, caching = false)),
+    )
   }
 
-  test("AMPC MSF runs at most 15 Spark jobs") {
+  // An AMPC round is two jobs: the shuffle with the DHT write, then the queries.
+  test("AMPC MIS and MM run at most 2 Spark jobs") {
+    val over = ampcRuns.collect { case (name, run) if run.jobs > 2 => s"$name: ${run.jobs} jobs" }
+    assert(over.isEmpty, over.mkString("; "))
+  }
+
+  test("AMPC MIS and MM write shuffle data in one stage") {
+    val over = ampcRuns.collect { case (name, run) if run.shuffleStages > 1 => s"$name: ${run.shuffleStages} shuffle stages" }
+    assert(over.isEmpty, over.mkString("; "))
+  }
+
+  // The adjacency write, the searches with the parent write, the
+  // contraction, and the collect of the searches' MSF edges.
+  test("AMPC MSF runs at most 4 Spark jobs") {
     val df = TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(edges, 4))
     val msf = jobsOf(AmpcMsf.run(spark, df, 4))
-    assert(msf <= 15, s"MSF $msf jobs")
+    assert(msf <= 4, s"MSF $msf jobs")
+  }
+
+  test("AMPC connectivity runs at most 4 Spark jobs") {
+    val cc = jobsOf(AmpcConnectivity.run(spark, TestGraphs.toDf(spark, edges), 4))
+    assert(cc <= 4, s"connectivity $cc jobs")
   }
 
   // Materialized before the count, so the generator's own jobs are not counted.
   private lazy val cycles = GraphGen.twoCycles(spark, 300).localCheckpoint()
 
-  test("AMPC 2-Cycle runs at most 5 Spark jobs") {
+  // The adjacency write, which also picks the samples, and the walks.
+  test("AMPC 2-Cycle runs at most 2 Spark jobs") {
     val g = cycles
     val twoCycle = jobsOf(AmpcTwoCycle.run(spark, g, 4, sampleInv = 16))
-    assert(twoCycle <= 5, s"2-Cycle $twoCycle jobs")
+    assert(twoCycle <= 2, s"2-Cycle $twoCycle jobs")
   }
 
   test("LocalContractionCC runs at most 8 Spark jobs") {

@@ -151,6 +151,29 @@ class LocalContractionCCSpec extends SparkSpec {
     assert(e.getMessage.contains("no local finish within 1 rounds"))
   }
 
+  // Releasing a locally checkpointed round table through `RDD.unpersist`
+  // logs one WARN per table; a run should log none.
+  test("a run logs no warning about unpersisting a locally checkpointed RDD") {
+    import org.apache.logging.log4j.{Level, LogManager}
+    import org.apache.logging.log4j.core.{LogEvent, LoggerContext}
+    import org.apache.logging.log4j.core.appender.AbstractAppender
+    import org.apache.logging.log4j.core.config.Property
+    val seen = new java.util.concurrent.atomic.AtomicInteger
+    val appender = new AbstractAppender("checkpoint-unpersist-warnings", null, null, true, Property.EMPTY_ARRAY) {
+      override def append(e: LogEvent): Unit =
+        if (e.getMessage.getFormattedMessage.contains("was locally checkpointed")) seen.incrementAndGet()
+    }
+    appender.start()
+    val ctx = LogManager.getContext(false).asInstanceOf[LoggerContext]
+    val root = ctx.getConfiguration.getRootLogger
+    root.addAppender(appender, Level.WARN, null); ctx.updateLoggers()
+    val res =
+      try LocalContractionCC.run(spark, GraphGen.cycle(spark, 300), 2, localThreshold = 8)
+      finally { root.removeAppender(appender.getName); ctx.updateLoggers(); appender.stop() }
+    assert(res.rounds > 1)
+    assert(seen.get == 0, s"${seen.get} warnings")
+  }
+
   /** Checksum of the (id, component) labels in sorted order, so independent of collect order. */
   private def checksum(labels: Seq[(Long, Long)]): Long =
     labels.sorted.foldLeft(0L) { case (h, (v, c)) =>
