@@ -1,11 +1,12 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.Tables
+import repro.eval.{TableChecks, Tables}
 
 /** Benchmark harnesses — one suite per evaluation table, run at
-  * SF≈0.1 scale via `sbt "bench/test"`. Each prints the table rows that
-  * EXPERIMENTS.md records next to the paper's numbers.
+  * SF≈0.1 scale via `sbt "bench/test"`. Each prints the table that
+  * EXPERIMENTS.md records next to the paper's numbers, then checks it
+  * with the same [[TableChecks]] that `TablesSpec` runs at test scale.
   *
   * Scale note: set REPRO_BENCH_SCALE=small to fall back to the unit-test
   * scale (useful for a fast smoke run of the bench harness itself).
@@ -16,50 +17,33 @@ trait BenchScale {
 
 class Table1Bench extends SparkSpec with BenchScale {
   test("Table 1 — round complexity: AMPC constant vs MPC logarithmic") {
-    val scales = if (benchScale) Seq(10, 11, 12, 13) else Seq(8, 9)
-    val out = Tables.table1(spark, scales)
-    println(out)
-    // structural assertions: parse the data rows
-    val rows = out.linesIterator
-      .filter(_.trim.headOption.exists(_.isDigit))
-      .map(_.split("[|]").map(_.trim))
-      .toSeq
-    val ampcMsf = rows.map(_.apply(1).split("\\s+")(2).toLong)
-    assert(ampcMsf.distinct == Seq(5L), s"AMPC MSF rounds not constant: $ampcMsf")
-    val mpcMis = rows.map(_.apply(2).split("\\s+")(0).toLong)
-    assert(mpcMis.last >= mpcMis.head, s"MPC MIS phases should grow: $mpcMis")
+    val t = Tables.table1(spark, benchScale)
+    println(Tables.render(t))
+    TableChecks.table1(t, benchScale)
   }
 }
 
 class Table2Bench extends SparkSpec with BenchScale {
   test("Table 2 — dataset statistics for the real-graph analogs") {
-    val out = Tables.table2(spark, bench = benchScale)
-    println(out)
-    Seq("OK", "TW", "FS", "CW", "HL").foreach(k => assert(out.contains(k)))
+    val t = Tables.table2(spark, benchScale)
+    println(Tables.render(t))
+    TableChecks.table2(t, benchScale)
   }
 }
 
 class Table3Bench extends SparkSpec with BenchScale {
   test("Table 3 — shuffles per implementation per dataset") {
-    val out = Tables.table3(spark, bench = benchScale)
-    println(out)
-    val misRow = out.linesIterator.find(_.startsWith("AMPC MIS")).get
-    assert(misRow.contains("1 (1)"))
-    val msfRow = out.linesIterator.find(_.startsWith("AMPC MSF")).get
-    assert(msfRow.contains("5 (5)"))
+    val t = Tables.table3(spark, benchScale)
+    println(Tables.render(t))
+    TableChecks.table3(t)
   }
 }
 
 class Table4Bench extends SparkSpec with BenchScale {
   test("Table 4 — normalized modeled times: RDMA vs TCP/IP vs MPC") {
-    val out = Tables.table4(spark, bench = benchScale)
-    println(out)
-    val dataRows = out.linesIterator.filter(l => l.startsWith("2-Cyc.") || l.startsWith("MIS")).toSeq
-    dataRows.foreach { row =>
-      val ratios = raw"(\d+\.\d+) \(".r.findAllMatchIn(row).map(_.group(1).toDouble).toSeq
-      assert(ratios.size == 3, row)
-      assert(ratios(1) >= 1.0 && ratios(2) >= 1.0, s"AMPC-RDMA must win: $row")
-    }
+    val t = Tables.table4(spark, benchScale)
+    println(Tables.render(t))
+    TableChecks.table4(t, benchScale)
   }
 }
 

@@ -26,12 +26,12 @@ object TableJob {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     try
-      println(table match {
-        case 1 => Tables.table1(spark, if (bench) Seq(10, 11, 12, 13, 14) else Seq(8, 9, 10))
+      println(Tables.render(table match {
+        case 1 => Tables.table1(spark, bench)
         case 2 => Tables.table2(spark, bench)
         case 3 => Tables.table3(spark, bench)
         case 4 => Tables.table4(spark, bench)
-      })
+      }))
     finally spark.stop()
   }
 }

@@ -26,4 +26,7 @@ private[ampc] final class Registry[T](what: String, make: () => T) {
   }
 
   def close(id: String): Unit = entries.remove(id): Unit
+
+  /** How many ids are open. */
+  def size: Int = entries.size
 }

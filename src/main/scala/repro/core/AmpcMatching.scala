@@ -42,7 +42,6 @@ object AmpcMatching {
       seed: Long,
       caching: Boolean = true,
       queryBudget: Long = Long.MaxValue,
-      budgetGrowth: Long = 16,
   ): Result = {
     val metrics = Metrics.fresh("ampc-mm")
     val dht = DhtRegistry.create[EdgeAdj]("mm-adj", metrics)
@@ -65,7 +64,7 @@ object AmpcMatching {
       val (_, twoM, _) = AmpcRound.write(kit, adj, dht, 16)(_.length)
       metrics.shuffle(twoM * GraphOps.EdgeBytes)
 
-      val (answers, passes) = AmpcRound.resolve(adj, queryBudget, budgetGrowth) { (v, a, b) =>
+      val (answers, passes) = AmpcRound.resolve(adj, queryBudget) { (v, a, b) =>
         MatchingProcess.vertexProcess(v, a, seed, dht, matchedCache, finishedCache, metrics, b)
       }
       val matched = answers.collect { case (v, Some(p)) => (math.min(v, p), math.max(v, p)) }

@@ -38,7 +38,6 @@ object AmpcMis {
       seed: Long,
       caching: Boolean = true,
       queryBudget: Long = Long.MaxValue,
-      budgetGrowth: Long = 16,
   ): Result = {
     val metrics = Metrics.fresh("ampc-mis")
     val dht = DhtRegistry.create[Array[Long]]("mis-adj", metrics)
@@ -63,7 +62,7 @@ object AmpcMis {
       metrics.shuffle(m * GraphOps.EdgeBytes)
 
       // Step (3): ParDo the IsInMIS query process over all vertices.
-      val (answers, passes) = AmpcRound.resolve(directed, queryBudget, budgetGrowth) { (v, adj, b) =>
+      val (answers, passes) = AmpcRound.resolve(directed, queryBudget) { (v, adj, b) =>
         QueryProcess.inMis(v, adj, seed, dht, cache, metrics, b)
       }
       Result(answers.collect { case (v, true) => v }.toSet, passes, metrics.snapshot)

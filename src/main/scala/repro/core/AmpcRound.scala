@@ -33,21 +33,20 @@ private[core] object AmpcRound {
     kit.tally(written)(r => length(r._2).toLong, pick)
   }
 
+  /** Each truncation pass multiplies the query budget by this factor. */
+  private val BudgetGrowth = 16L
+
   /** Run `query(v, row, budget)` from every row, one Spark job per pass.
     * A `None` answer means the query ran out of budget; those rows are
-    * retried in a further pass with the budget multiplied by `growth`
-    * (the O(1/ε)-step truncation schedule of [19]).
+    * retried in a further pass with the budget multiplied by
+    * [[BudgetGrowth]] (the O(1/ε)-step truncation schedule of [19]).
     *
     * @return every row's answer, and the number of passes
     */
-  def resolve[V, R](rows: RDD[(Long, V)], budget: Long, growth: Long)(
+  def resolve[V, R](rows: RDD[(Long, V)], budget: Long)(
       query: (Long, V, Long) => Option[R]
   ): (Seq[(Long, R)], Int) = {
-    require(
-      budget >= 1 && growth >= 2,
-      s"truncation schedule cannot finish: query budget $budget, budget growth $growth " +
-        "(need budget >= 1 and growth >= 2)",
-    )
+    require(budget >= 1, s"truncation schedule cannot finish: query budget $budget (need budget >= 1)")
     val answers = scala.collection.mutable.ArrayBuffer.empty[(Long, R)]
     var pending = rows
     var b = budget
@@ -61,7 +60,7 @@ private[core] object AmpcRound {
       val unresolved = out.collect { case (v, None) => v }.toSet
       if (unresolved.isEmpty) done = true
       else {
-        b = if (b >= Long.MaxValue / growth) Long.MaxValue else b * growth
+        b = if (b >= Long.MaxValue / BudgetGrowth) Long.MaxValue else b * BudgetGrowth
         pending = pending.filter(p => unresolved(p._1))
       }
     }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.ampc.{DhtRegistry, Metrics, RunMetrics}
+import repro.ampc.{Dht, DhtRegistry, Metrics, RunMetrics}
 import repro.graphs.GraphOps
 import repro.ref.Reference
 import repro.trees.{HeavyLight, RootedTree}
@@ -20,17 +20,19 @@ import repro.trees.{HeavyLight, RootedTree}
   */
 object FLightEdges {
 
-  /** Returns G's F-light edges as a DataFrame (src, dst, weight). */
+  /** Returns G's F-light edges as a DataFrame (src, dst, weight). It
+    * writes F's per-tree structures into `compDht` and `treeDht`, which the
+    * returned DataFrame reads: the caller closes both once it has no
+    * further use of the edges.
+    */
   def classify(
       spark: SparkSession,
       graphEdges: DataFrame,
       forest: Seq[(Long, Long, Double)],
-      metrics: Metrics,
+      compDht: Dht[Long],
+      treeDht: Dht[HeavyLight],
   ): DataFrame = {
     import spark.implicits._
-    val compDht = DhtRegistry.create[Long]("flight-comp", metrics)
-    val treeDht = DhtRegistry.create[HeavyLight]("flight-tree", metrics)
-
     // Line 1–2: components of F, one rooted+decomposed structure each.
     val fVertices = forest.flatMap(e => Seq(e._1, e._2)).distinct
     val comp = Reference.connectedComponents(fVertices, forest.map(e => (e._1, e._2)))
@@ -84,6 +86,8 @@ object KktMsf {
   ): Result = {
     import org.apache.spark.sql.functions._
     val metrics = Metrics.fresh("kkt-msf")
+    val compDht = DhtRegistry.create[Long]("flight-comp", metrics)
+    val treeDht = DhtRegistry.create[HeavyLight]("flight-tree", metrics)
     try {
       val m = weightedEdges.count()
       if (m <= localThreshold) {
@@ -97,7 +101,7 @@ object KktMsf {
       val sampledCount = h.count()
 
       val fRes = AmpcMsf.run(spark, h, seed, searchBudget)
-      val light = FLightEdges.classify(spark, weightedEdges, fRes.msf, metrics).persist()
+      val light = FLightEdges.classify(spark, weightedEdges, fRes.msf, compDht, treeDht).persist()
       val lightCount = light.count()
 
       val finalRes = AmpcMsf.run(spark, light, seed + 1, searchBudget)
@@ -108,6 +112,6 @@ object KktMsf {
         lightCount,
         metrics.snapshot + fRes.metrics + finalRes.metrics,
       )
-    } finally metrics.close()
+    } finally { compDht.close(); treeDht.close(); metrics.close() }
   }
 }

@@ -20,12 +20,8 @@ object Datasets {
 
   final case class PaperRow(n: String, m: String, diam: String, numCc: String, largestCc: String)
 
-  final case class GraphCase(
-      key: String,
-      paperName: String,
-      edges: DataFrame,
-      paper: PaperRow,
-  )
+  /** A real-graph analog, keyed as in the paper's tables. */
+  final case class GraphCase(key: String, edges: DataFrame)
 
   /** The paper's Table 2 rows (for side-by-side reporting). */
   val paperTable2: Map[String, PaperRow] = Map(
@@ -38,44 +34,45 @@ object Datasets {
 
   def realGraphAnalogs(spark: SparkSession, bench: Boolean): Seq[GraphCase] = {
     val s = if (bench) 0 else -4 // test scale: 16x smaller
+    val offset = 1L << 40 // HL's clutter ids, clear of the RMAT id space
     Seq(
-      GraphCase("OK", "com-Orkut", GraphGen.rmat(spark, 15 + s, 16, seed = 101), paperTable2("OK")),
-      GraphCase("TW", "Twitter",
-        GraphGen.rmat(spark, 16 + s, 16, seed = 102, a = 0.62, b = 0.18, c = 0.18), paperTable2("TW")),
-      GraphCase("FS", "Friendster",
-        GraphGen.uniform(spark, 1L << (16 + s), 20L << (16 + s), seed = 103), paperTable2("FS")),
-      GraphCase("CW", "ClueWeb",
-        GraphGen.rmat(spark, 16 + s, 24, seed = 104, a = 0.67, b = 0.16, c = 0.16), paperTable2("CW")),
-      GraphCase("HL", "Hyperlink2012", {
-        val core = GraphGen.rmat(spark, 16 + s, 20, seed = 105, a = 0.65, b = 0.17, c = 0.17)
-        val offset = 1L << 40 // clear of the RMAT id space
-        core.union(GraphGen.clutter(spark, count = if (bench) 20000 else 500, size = 4, offset = offset))
-      }, paperTable2("HL")),
+      GraphCase("OK", GraphGen.rmat(spark, 15 + s, 16, seed = 101)),
+      GraphCase("TW", GraphGen.rmat(spark, 16 + s, 16, seed = 102, a = 0.62, b = 0.18, c = 0.18)),
+      GraphCase("FS", GraphGen.uniform(spark, 1L << (16 + s), 20L << (16 + s), seed = 103)),
+      GraphCase("CW", GraphGen.rmat(spark, 16 + s, 24, seed = 104, a = 0.67, b = 0.16, c = 0.16)),
+      GraphCase("HL", GraphGen.rmat(spark, 16 + s, 20, seed = 105, a = 0.65, b = 0.17, c = 0.17)
+        .union(GraphGen.clutter(spark, count = if (bench) 20000 else 500, size = 4, offset = offset))),
     )
+  }
+
+  /** RMAT scales of Table 1's inputs (n ≤ 2^scale), one row each. */
+  def table1Scales(bench: Boolean): Seq[Int] = if (bench) 10 to 13 else Seq(7, 8)
+
+  /** A 2×k cycle input. Ours are 10⁴ times shorter than the paper's;
+    * `paperLabel` names the paper's row for the same rank.
+    */
+  final case class CycleCase(label: String, paperLabel: String, k: Long) {
+    def edges(spark: SparkSession): DataFrame = GraphGen.twoCycles(spark, k)
   }
 
   /** The 2×k cycle inputs; the paper uses k ∈ {1e8, 1e9, 1e10}, we use
     * k ∈ {1e4, 1e5, 1e6} (`bench`) or {1e3, 1e4} (test).
     */
-  def cycleCases(spark: SparkSession, bench: Boolean): Seq[(String, Long, DataFrame)] = {
-    val ks = if (bench) Seq(10_000L, 100_000L, 1_000_000L) else Seq(1_000L, 10_000L)
-    ks.map(k => (s"2e${math.log10(k.toDouble).round}", k, GraphGen.twoCycles(spark, k)))
-  }
+  def cycleCases(bench: Boolean): Seq[CycleCase] =
+    (if (bench) Seq(4, 5, 6) else Seq(3, 4)).map(e => CycleCase(s"2e$e", s"2e${e + 4}", math.pow(10, e).toLong))
 
-  /** Paper Table 4 values for side-by-side reporting. */
-  val paperTable4TwoCycle: Map[String, (Double, Double, Double)] = Map(
-    // label -> (RDMA, TCP/IP, MPC) normalized times
-    "2e8" -> (1.0, 1.74, 3.40),
-    "2e9" -> (1.0, 3.75, 6.70),
-    "2e10" -> (1.0, 5.90, 9.87),
-  )
-
-  val paperTable4Mis: Map[String, (Double, Double, Double)] = Map(
-    "OK" -> (1.0, 1.85, 2.39),
-    "TW" -> (1.0, 1.63, 3.04),
-    "FS" -> (1.0, 1.50, 2.98),
-    "CW" -> (1.0, 1.68, 2.37),
-    "HL" -> (1.0, 1.71, 2.30),
+  /** Paper Table 4: (RDMA, TCP/IP, MPC) normalized times, keyed by the
+    * paper's cycle label (2-Cycle rows) or the analog key (MIS rows).
+    */
+  val paperTable4: Map[String, (String, String, String)] = Map(
+    "2e8" -> ("1.00", "1.74", "3.40"),
+    "2e9" -> ("1.00", "3.75", "6.70"),
+    "2e10" -> ("1.00", "5.90", "9.87"),
+    "OK" -> ("1.00", "1.85", "2.39"),
+    "TW" -> ("1.00", "1.63", "3.04"),
+    "FS" -> ("1.00", "1.50", "2.98"),
+    "CW" -> ("1.00", "1.68", "2.37"),
+    "HL" -> ("1.00", "1.71", "2.30"),
   )
 
   /** Paper Table 3: shuffles per implementation per dataset. */

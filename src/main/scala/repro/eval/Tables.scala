@@ -1,156 +1,156 @@
 package repro.eval
 
-import org.apache.spark.sql.SparkSession
-import repro.ampc.CostModel
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.ampc.{CostModel, RunMetrics}
 import repro.core._
-import repro.graphs.{GraphOps, GraphStats}
+import repro.graphs.{GraphGen, GraphOps, GraphStats}
 import repro.mpc._
 
-/** Builders for the four evaluation tables. Each returns the formatted
-  * rows that the bench suites print and EXPERIMENTS.md records; measured
-  * values sit next to the paper's.
+/** A measured value next to the paper's, rendered `ours (paper)`. */
+final case class Vs[A](ours: A, paper: String)
+
+/** An evaluation table: its caption and one typed row per line. */
+final case class Table[+R <: Product](caption: String, rows: Seq[R])
+
+final case class Table1Row(n: Long, m: Long, ampcMis: Long, ampcMm: Long, ampcMsf: Long, ampc2Cycle: Long,
+    mpcMis: Long, mpcMm: Long, mpcMsf: Long, mpcCc: Long)
+final case class Table2Row(graph: String, n: Vs[Long], m: Vs[Long], diam: Vs[String], numCc: Vs[Long], maxCc: Vs[Long])
+final case class Table3Row(graph: String, ampcMis: Vs[Long], ampcMm: Vs[Long], ampcMsf: Vs[Long],
+    mpcMis: Vs[Long], mpcMm: Vs[Long], mpcMsf: Vs[Long])
+final case class Table4Row(algorithm: String, input: String, rdma: Vs[Double], tcp: Vs[Double], mpc: Vs[Double],
+    rdmaMs: Double)
+
+/** Builders for the four evaluation tables, at test scale or (`bench`) at
+  * the scale EXPERIMENTS.md records, and the one renderer that prints them.
   */
 object Tables {
 
-  // ---------------------------------------------------------------- Table 1
+  /** Lays out any table as a markdown table under its caption: one
+    * right-aligned column per row field, headed by the field's name.
+    * Doubles print with two decimals, a [[Vs]] cell as `ours (paper)`.
+    */
+  def render(t: Table[Product]): String = {
+    def cell(x: Any): String = x match {
+      case Vs(ours, paper) => s"${cell(ours)} ($paper)"
+      case d: Double       => f"$d%.2f"
+      case other           => other.toString
+    }
+    val header = t.rows.headOption.fold(Seq.empty[String])(_.productElementNames.toSeq)
+    val body = t.rows.map(_.productIterator.map(cell).toSeq)
+    val widths = (header +: body).transpose.map(_.map(_.length).max)
+    def line(cells: Seq[String]) =
+      cells.zip(widths).map { case (c, w) => " " * (w - c.length) + c }.mkString("| ", " | ", " |")
+    (Seq(t.caption, "", line(header), widths.map("-" * _ + "-:").mkString("|", "|", "|")) ++ body.map(line))
+      .mkString("", "\n", "\n")
+  }
+
+  /** The MPC in-memory cutoff of Tables 3 and 4: the paper's 5·10⁷-edge
+    * cutoff, scaled to our inputs.
+    */
+  private def mpcCutoff(m: Long): Long = math.max(256L, m / 64)
 
   /** Round-complexity analog of Table 1: measured rounds/phases of every
     * implementation on growing inputs. AMPC columns should stay flat
     * (O(1)); MPC columns should grow like log n.
     */
-  def table1(spark: SparkSession, scales: Seq[Int]): String = {
-    val sb = new StringBuilder
-    sb ++= "Table 1 analog -- measured rounds (AMPC) vs phases (MPC) as n grows\n"
-    sb ++= f"${"n"}%10s ${"m"}%10s | ${"A-MIS"}%6s ${"A-MM"}%6s ${"A-MSF"}%6s ${"A-2cyc"}%6s | ${"M-MIS"}%6s ${"M-MM"}%6s ${"M-MSF"}%6s ${"M-CC"}%6s\n"
-    scales.foreach { sc =>
-      val g = repro.graphs.GraphGen.rmat(spark, sc, 8, seed = 40 + sc).persist()
-      val n = GraphOps.vertices(g).count()
-      val m = g.count()
+  def table1(spark: SparkSession, bench: Boolean): Table[Table1Row] = Table(
+    "Table 1 analog -- measured rounds (AMPC) vs phases (MPC) as n grows " +
+      "(paper: AMPC O(1) for MIS/MM/MSF/2-cycle; MPC Theta(log n) phases)",
+    Datasets.table1Scales(bench).map { sc =>
+      val g = GraphGen.rmat(spark, sc, 8, seed = 40 + sc).persist()
+      val wg = GraphOps.withDegreeWeights(g).persist()
+      val cyc = GraphGen.twoCycles(spark, 1L << (sc - 1))
       val aMis = AmpcMis.run(spark, g, seed = 1)
       val aMm = AmpcMatching.run(spark, g, seed = 1)
-      val wg = GraphOps.withDegreeWeights(g).persist()
-      val aMsf = AmpcMsf.run(spark, wg, seed = 1)
-      val cyc = repro.graphs.GraphGen.twoCycles(spark, 1L << (sc - 1))
-      val a2c = AmpcTwoCycle.run(spark, cyc, seed = 1, sampleInv = 16)
       // Fixed in-memory cutoff: the Θ(log n) phase growth of the MPC
       // algorithms only shows when the cutoff does not scale with m.
       val thr = 64L
-      val mMis = MpcMis.run(spark, g, seed = 1, localThreshold = thr)
-      val mMm = MpcMatching.run(spark, g, seed = 1, localThreshold = thr)
-      val mMsf = MpcMsf.run(spark, wg, seed = 1, localThreshold = thr)
-      val mCc = LocalContractionCC.run(spark, cyc, seed = 1, localThreshold = thr)
-      sb ++= f"$n%10d $m%10d | ${aMis.metrics.shuffles + aMis.passes}%6d ${aMm.metrics.shuffles + aMm.passes}%6d ${aMsf.metrics.shuffles}%6d ${a2c.metrics.shuffles + 1}%6d | ${mMis.phases}%6d ${mMm.phases}%6d ${mMsf.phases}%6d ${mCc.rounds}%6d\n"
+      val row = Table1Row(
+        GraphOps.vertices(g).count(), g.count(),
+        aMis.metrics.shuffles + aMis.passes, aMm.metrics.shuffles + aMm.passes,
+        AmpcMsf.run(spark, wg, seed = 1).metrics.shuffles,
+        AmpcTwoCycle.run(spark, cyc, seed = 1, sampleInv = 16).metrics.shuffles + 1,
+        MpcMis.run(spark, g, seed = 1, localThreshold = thr).phases.toLong,
+        MpcMatching.run(spark, g, seed = 1, localThreshold = thr).phases.toLong,
+        MpcMsf.run(spark, wg, seed = 1, localThreshold = thr).phases.toLong,
+        LocalContractionCC.run(spark, cyc, seed = 1, localThreshold = thr).rounds.toLong,
+      )
       wg.unpersist(); g.unpersist()
-    }
-    sb ++= "(paper: AMPC O(1) for MIS/MM/MSF/2-cycle; MPC Theta(log n) phases)\n"
-    sb.toString
-  }
+      row
+    },
+  )
 
-  // ---------------------------------------------------------------- Table 2
-
-  def table2(spark: SparkSession, bench: Boolean): String = {
-    val sb = new StringBuilder
-    sb ++= "Table 2 analog -- graph inputs (ours || paper)\n"
-    sb ++= f"${"name"}%-4s ${"n"}%10s ${"m"}%10s ${"diam"}%6s ${"#CC"}%8s ${"maxCC"}%10s" +
-      f"  || ${"n"}%8s ${"m"}%8s ${"diam"}%6s ${"#CC"}%12s ${"maxCC"}%8s\n"
-    Datasets.realGraphAnalogs(spark, bench).foreach { gc =>
+  /** Table 2: the statistics of every input. */
+  def table2(spark: SparkSession, bench: Boolean): Table[Table2Row] = {
+    val analogs = Datasets.realGraphAnalogs(spark, bench).map { gc =>
       val edges = gc.edges.persist()
       val cc = AmpcConnectivity.run(spark, edges, seed = 7)
       val st = GraphStats.stats(edges, cc.labels)
-      val d = if (st.diameterExact) st.diameter.toString else s"${st.diameter}*"
-      sb ++= f"${gc.key}%-4s ${st.n}%10d ${st.m}%10d $d%6s ${st.numComponents}%8d ${st.largestComponent}%10d" +
-        f"  || ${gc.paper.n}%8s ${gc.paper.m}%8s ${gc.paper.diam}%6s ${gc.paper.numCc}%12s ${gc.paper.largestCc}%8s\n"
       cc.labels.unpersist(); edges.unpersist()
+      val p = Datasets.paperTable2(gc.key)
+      val diam = if (st.diameterExact) st.diameter.toString else s"${st.diameter}*"
+      Table2Row(gc.key, Vs(st.n, p.n), Vs(st.m, p.m), Vs(diam, p.diam), Vs(st.numComponents, p.numCc),
+        Vs(st.largestComponent, p.largestCc))
     }
-    Datasets.cycleCases(spark, bench).foreach { case (label, k, edges) =>
-      val e = edges.persist()
-      val m = e.count()
-      sb ++= f"$label%-4s ${2 * k}%10d $m%10d ${k / 2}%6d ${2}%8d $k%10d" +
-        f"  || ${"2k"}%8s ${"2k"}%8s ${"k/2"}%6s ${"2"}%12s ${"k"}%8s\n"
-      e.unpersist()
+    val cycles = Datasets.cycleCases(bench).map { c =>
+      Table2Row(c.label, Vs(2 * c.k, "2k"), Vs(c.edges(spark).count(), "2k"), Vs((c.k / 2).toString, "k/2"),
+        Vs(2L, "2"), Vs(c.k, "k"))
     }
-    sb.toString
+    Table("Table 2 analog -- graph inputs, ours (paper)", analogs ++ cycles)
   }
 
-  // ---------------------------------------------------------------- Table 3
-
-  def table3(spark: SparkSession, bench: Boolean): String = {
-    val graphs = Datasets.realGraphAnalogs(spark, bench)
-    val thrOf = (m: Long) => math.max(256L, m / 64) // scaled 5e7-style cutoff
-
-    val algs: Seq[(String, org.apache.spark.sql.DataFrame => Long)] = Seq(
-      "AMPC MIS" -> ((e: org.apache.spark.sql.DataFrame) => AmpcMis.run(spark, e, seed = 3).metrics.shuffles),
-      "AMPC MM" -> ((e: org.apache.spark.sql.DataFrame) => AmpcMatching.run(spark, e, seed = 3).metrics.shuffles),
-      "AMPC MSF" -> ((e: org.apache.spark.sql.DataFrame) =>
-        AmpcMsf.run(spark, GraphOps.withDegreeWeights(e), seed = 3).metrics.shuffles),
-      "MPC MIS" -> ((e: org.apache.spark.sql.DataFrame) =>
-        MpcMis.run(spark, e, seed = 3, localThreshold = thrOf(e.count())).metrics.shuffles),
-      "MPC MM" -> ((e: org.apache.spark.sql.DataFrame) =>
-        MpcMatching.run(spark, e, seed = 3, localThreshold = thrOf(e.count())).metrics.shuffles),
-      "MPC MSF" -> ((e: org.apache.spark.sql.DataFrame) =>
-        MpcMsf.run(spark, GraphOps.withDegreeWeights(e), seed = 3, localThreshold = thrOf(e.count())).metrics.shuffles),
-    )
-
-    val sb = new StringBuilder
-    sb ++= "Table 3 analog -- shuffles (costly rounds), ours (paper)\n"
-    sb ++= f"${"algorithm"}%-10s" + graphs.map(g => f"${g.key}%12s").mkString + "\n"
-    algs.foreach { case (name, f) =>
-      val paper = Datasets.paperTable3(name)
-      val cells = graphs.map { gc =>
-        val e = gc.edges.persist()
-        val s = f(e)
-        e.unpersist()
-        f"${s"$s (${paper(gc.key)})"}%12s"
-      }
-      sb ++= f"$name%-10s" + cells.mkString + "\n"
-    }
-    sb.toString
-  }
-
-  // ---------------------------------------------------------------- Table 4
-
-  def table4(spark: SparkSession, bench: Boolean): String = {
-    val sb = new StringBuilder
-    sb ++= "Table 4 analog -- normalized modeled running times, ours (paper)\n"
-    sb ++= f"${"row"}%-8s${"input"}%8s${"RDMA"}%16s${"TCP/IP"}%16s${"MPC"}%16s${"abs RDMA (s)"}%14s\n"
-
-    Datasets.cycleCases(spark, bench).foreach { case (label, k, edges) =>
-      val e = edges.persist()
-      val ampc = AmpcTwoCycle.run(spark, e, seed = 5, sampleInv = 64)
-      val mpc = LocalContractionCC.run(spark, e, seed = 5, localThreshold = math.max(256L, (2 * k) / 64))
-      val tRdma = CostModel.Rdma.seconds(ampc.metrics)
-      val tTcp = CostModel.Tcp.seconds(ampc.metrics)
-      val tMpc = CostModel.Mpc.seconds(mpc.metrics)
-      val (pr, pt, pm) = Datasets.paperTable4TwoCycle
-        .get(paperCycleLabel(label))
-        .map { case (a, b, c) => (f"$a%.2f", f"$b%.2f", f"$c%.2f") }
-        .getOrElse(("-", "-", "-"))
-      sb ++= f"${"2-Cyc."}%-8s$label%8s${s"1.00 ($pr)"}%16s${cell(tTcp / tRdma, pt)}%16s${cell(tMpc / tRdma, pm)}%16s${tRdma}%14.4f\n"
-      e.unpersist()
-    }
-
-    Datasets.realGraphAnalogs(spark, bench).foreach { gc =>
+  /** Table 3: declared shuffles of every implementation on every analog. */
+  def table3(spark: SparkSession, bench: Boolean): Table[Table3Row] = Table(
+    "Table 3 analog -- shuffles (costly rounds), ours (paper)",
+    Datasets.realGraphAnalogs(spark, bench).map { gc =>
       val e = gc.edges.persist()
-      val ampc = AmpcMis.run(spark, e, seed = 5)
-      val mpc = MpcMis.run(spark, e, seed = 5, localThreshold = math.max(256L, e.count() / 64))
-      val tRdma = CostModel.Rdma.seconds(ampc.metrics)
-      val tTcp = CostModel.Tcp.seconds(ampc.metrics)
-      val tMpc = CostModel.Mpc.seconds(mpc.metrics)
-      val p = Datasets.paperTable4Mis(gc.key)
-      sb ++= f"${"MIS"}%-8s${gc.key}%8s${s"1.00 (${f2(p._1)})"}%16s${cell(tTcp / tRdma, f2(p._2))}%16s${cell(tMpc / tRdma, f2(p._3))}%16s${tRdma}%14.4f\n"
+      val thr = mpcCutoff(e.count())
+      val we = GraphOps.withDegreeWeights(e).persist()
+      def vs(algorithm: String, m: RunMetrics) = Vs(m.shuffles, Datasets.paperTable3(algorithm)(gc.key))
+      val row = Table3Row(
+        gc.key,
+        vs("AMPC MIS", AmpcMis.run(spark, e, seed = 3).metrics),
+        vs("AMPC MM", AmpcMatching.run(spark, e, seed = 3).metrics),
+        vs("AMPC MSF", AmpcMsf.run(spark, we, seed = 3).metrics),
+        vs("MPC MIS", MpcMis.run(spark, e, seed = 3, localThreshold = thr).metrics),
+        vs("MPC MM", MpcMatching.run(spark, e, seed = 3, localThreshold = thr).metrics),
+        vs("MPC MSF", MpcMsf.run(spark, we, seed = 3, localThreshold = thr).metrics),
+      )
+      we.unpersist(); e.unpersist()
+      row
+    },
+  )
+
+  /** Table 4: modeled AMPC time on TCP/IP and MPC time, each over AMPC
+    * time on RDMA, for 1-vs-2-Cycle and MIS.
+    */
+  def table4(spark: SparkSession, bench: Boolean): Table[Table4Row] = {
+    def row(algorithm: String, input: String, paperKey: String, edges: DataFrame)(
+        ampc: DataFrame => RunMetrics,
+        mpc: (DataFrame, Long) => RunMetrics,
+    ): Table4Row = {
+      val e = edges.persist()
+      val a = ampc(e)
+      val tMpc = CostModel.Mpc.seconds(mpc(e, mpcCutoff(e.count())))
       e.unpersist()
+      val tRdma = CostModel.Rdma.seconds(a)
+      val (pr, pt, pm) = Datasets.paperTable4.getOrElse(paperKey, ("-", "-", "-"))
+      Table4Row(algorithm, input, Vs(1.0, pr), Vs(CostModel.Tcp.seconds(a) / tRdma, pt), Vs(tMpc / tRdma, pm),
+        tRdma * 1000)
     }
-    sb.toString
-  }
-
-  private def f2(x: Double): String = f"$x%.2f"
-
-  private def cell(ours: Double, paper: String): String = s"${f2(ours)} ($paper)"
-
-  private def paperCycleLabel(label: String): String = label match {
-    case "2e4" => "2e8"
-    case "2e5" => "2e9"
-    case "2e6" => "2e10"
-    case other => other
+    val cycles = Datasets.cycleCases(bench).map { c =>
+      row("2-Cyc.", c.label, c.paperLabel, c.edges(spark))(
+        AmpcTwoCycle.run(spark, _, seed = 5, sampleInv = 64).metrics,
+        (e, thr) => LocalContractionCC.run(spark, e, seed = 5, localThreshold = thr).metrics,
+      )
+    }
+    val mis = Datasets.realGraphAnalogs(spark, bench).map { gc =>
+      row("MIS", gc.key, gc.key, gc.edges)(
+        AmpcMis.run(spark, _, seed = 5).metrics,
+        (e, thr) => MpcMis.run(spark, e, seed = 5, localThreshold = thr).metrics,
+      )
+    }
+    Table("Table 4 analog -- normalized modeled running times, ours (paper); rdmaMs: AMPC-RDMA modeled ms",
+      cycles ++ mis)
   }
 }

@@ -69,10 +69,6 @@ object Reference {
       .filter { case (u, v, _) => uf.union(u, v) }
   }
 
-  /** Total weight of the MSF (unique even when the forest is not). */
-  def msfWeight(edges: Seq[(Long, Long, Double)]): Double =
-    kruskal(edges).map(_._3).sum
-
   /** Lexicographically-first MIS for the permutation induced by `rank`:
     * v ∈ MIS iff no earlier-ranked neighbor is in the MIS. Unique given
     * `rank` (ties broken by vertex id).

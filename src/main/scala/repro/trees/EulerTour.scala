@@ -65,7 +65,4 @@ final class Lca(t: RootedTree) extends Serializable {
     }
     euler.tour(rmq.query(i, j))
   }
-
-  /** LCA by global ids. */
-  def ofIds(u: Long, v: Long): Long = t.ids(of(t.index(u), t.index(v)))
 }

@@ -16,17 +16,6 @@ object Treap {
   final case class Node(id: Long, children: List[Node]) {
     def height: Int = 1 + (if (children.isEmpty) 0 else children.map(_.height).max)
     def size: Int = 1 + children.map(_.size).sum
-    /** Subtree size of each vertex in the treap. */
-    def subtreeSizes: Map[Long, Int] = {
-      val out = mutable.Map.empty[Long, Int]
-      def go(n: Node): Int = {
-        val s = 1 + n.children.map(go).sum
-        out(n.id) = s
-        s
-      }
-      go(this)
-      out.toMap
-    }
   }
 
   /** Build the ternary treap of the tree given by undirected `edges`

@@ -189,3 +189,31 @@ class CostModelSpec extends AnyFunSuite {
     assert(ratio > 5.0) // ~10x latency gap on a pure chain workload
   }
 }
+
+/** Every algorithm run closes the DHT stores it opens: a store left open
+  * holds its entries in `DhtRegistry` for the life of the JVM.
+  */
+class DhtLifetimeSpec extends repro.SparkSpec {
+  import repro.TestGraphs
+  import repro.core._
+
+  private lazy val weighted =
+    TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(TestGraphs.randomEdges(40, 120, 3), 3))
+  private lazy val plain = TestGraphs.toDf(spark, TestGraphs.randomEdges(40, 120, 3))
+
+  private val runs: Seq[(String, () => Any)] = Seq(
+    "KKT MSF above its local threshold" -> (() => KktMsf.run(spark, weighted, 3, searchBudget = 8, localThreshold = 16)),
+    "AMPC MSF" -> (() => AmpcMsf.run(spark, weighted, 3)),
+    "AMPC MIS" -> (() => AmpcMis.run(spark, plain, 3)),
+    "AMPC MM" -> (() => AmpcMatching.run(spark, plain, 3)),
+    "AMPC 2-Cycle" -> (() => AmpcTwoCycle.run(spark, repro.graphs.GraphGen.twoCycles(spark, 50), 3, 4)),
+    "AMPC connectivity" -> (() => AmpcConnectivity.run(spark, plain, 3)),
+  )
+
+  for ((name, run) <- runs)
+    test(s"$name closes every DHT store it opens") {
+      val before = DhtRegistry.stores.size
+      run()
+      assert(DhtRegistry.stores.size == before)
+    }
+}

@@ -49,9 +49,6 @@ class AmpcMatchingSpec extends SparkSpec {
     val df = TestGraphs.toDf(spark, TestGraphs.connectedEdges(24, 12, 6))
     val zero = intercept[IllegalArgumentException](AmpcMatching.run(spark, df, 6, caching = false, queryBudget = 0))
     assert(zero.getMessage.contains("query budget 0"))
-    val flat = intercept[IllegalArgumentException](
-      AmpcMatching.run(spark, df, 6, caching = false, queryBudget = 2, budgetGrowth = 1))
-    assert(flat.getMessage.contains("budget growth 1"))
   }
 
   test("matching on a single edge takes it") {

@@ -56,9 +56,6 @@ class AmpcMisSpec extends SparkSpec {
     val df = TestGraphs.toDf(spark, TestGraphs.connectedEdges(30, 20, 7))
     val zero = intercept[IllegalArgumentException](AmpcMis.run(spark, df, 7, caching = false, queryBudget = 0))
     assert(zero.getMessage.contains("query budget 0"))
-    val flat = intercept[IllegalArgumentException](
-      AmpcMis.run(spark, df, 7, caching = false, queryBudget = 2, budgetGrowth = 1))
-    assert(flat.getMessage.contains("budget growth 1"))
   }
 
   test("MIS on a path alternates from the global minimum-rank vertex") {

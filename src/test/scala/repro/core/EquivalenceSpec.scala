@@ -1,7 +1,6 @@
 package repro.core
 
-import repro.{Oracle, SparkSpec, TestGraphs}
-import repro.graphs.GraphOps
+import repro.{SparkSpec, TestGraphs}
 import repro.mpc.{LocalContractionCC, MpcMatching, MpcMis, MpcMsf}
 import repro.ref.Reference
 
@@ -67,93 +66,5 @@ class EquivalenceSpec extends SparkSpec {
       LocalContractionCC.run(spark, one, 1, localThreshold = 8).numComponents)
     assert(AmpcTwoCycle.run(spark, two, 1, 16).numCycles ==
       LocalContractionCC.run(spark, two, 1, localThreshold = 8).numComponents)
-  }
-}
-
-/** DuckDB oracle checks of the relational sub-steps the algorithms are
-  * built from — a wrong rootset/contraction join would surface here even
-  * if the end-to-end result happened to look plausible.
-  */
-class RelationalStepsSpec extends SparkSpec {
-  import spark.implicits._
-
-  for (seed <- 1 to 4)
-    test(s"rootset local minima match a DuckDB window query (seed $seed)") {
-      val edges = TestGraphs.randomEdges(25, 50, seed)
-      val df = TestGraphs.toDf(spark, edges)
-      val ranks = TestGraphs
-        .vertices(edges)
-        .map(v => (v, Priorities.vertexRank(v, seed.toLong)))
-        .toDF("id", "rnk")
-      // Spark side: vertices whose rank precedes all neighbors.
-      val sym = GraphOps.symmetrize(df)
-      val spark_rootset = sym
-        .join(ranks.withColumnRenamed("id", "src").withColumnRenamed("rnk", "rs"), "src")
-        .join(ranks.withColumnRenamed("id", "dst").withColumnRenamed("rnk", "rd"), "dst")
-        .groupBy($"src" as "id")
-        .agg(
-          org.apache.spark.sql.functions.min(
-            org.apache.spark.sql.functions.when($"rs" < $"rd", 1).otherwise(0)) as "isMin")
-        .where($"isMin" === 1)
-        .select($"id".cast("long") as "id")
-      Oracle.assertEquivalent(
-        spark_rootset,
-        """WITH sym AS (
-          |  SELECT src, dst FROM edges UNION ALL SELECT dst, src FROM edges
-          |)
-          |SELECT CAST(s.src AS BIGINT) AS id
-          |FROM sym s
-          |JOIN ranks ru ON ru.id = s.src
-          |JOIN ranks rv ON rv.id = s.dst
-          |GROUP BY s.src
-          |HAVING MIN(CASE WHEN CAST(ru.rnk AS HUGEINT) < CAST(rv.rnk AS HUGEINT) THEN 1 ELSE 0 END) = 1""".stripMargin,
-        "edges" -> df,
-        "ranks" -> ranks,
-      )
-    }
-
-  for (seed <- 1 to 4)
-    test(s"contraction mapping application matches a DuckDB join (seed $seed)") {
-      val edges = TestGraphs.randomEdges(20, 40, seed)
-      val df = TestGraphs.toDf(spark, edges)
-      // an arbitrary deterministic mapping: v -> v / 3
-      val mapping = TestGraphs.vertices(edges).map(v => (v, v / 3)).toDF("id", "root")
-      val contracted = df
-        .join(mapping.withColumnRenamed("id", "src").withColumnRenamed("root", "ru"), "src")
-        .join(mapping.withColumnRenamed("id", "dst").withColumnRenamed("root", "rv"), "dst")
-        .where($"ru" =!= $"rv")
-        .select(
-          org.apache.spark.sql.functions.least($"ru", $"rv") as "cu",
-          org.apache.spark.sql.functions.greatest($"ru", $"rv") as "cv")
-        .distinct()
-      Oracle.assertEquivalent(
-        contracted,
-        """SELECT DISTINCT
-          |  LEAST(CAST(mu.root AS BIGINT), CAST(mv.root AS BIGINT)) AS cu,
-          |  GREATEST(CAST(mu.root AS BIGINT), CAST(mv.root AS BIGINT)) AS cv
-          |FROM edges e
-          |JOIN mapping mu ON mu.id = e.src
-          |JOIN mapping mv ON mv.id = e.dst
-          |WHERE mu.root <> mv.root""".stripMargin,
-        "edges" -> df,
-        "mapping" -> mapping,
-      )
-    }
-
-  test("minimum incident edge per vertex matches DuckDB (Boruvka step)") {
-    val edges = TestGraphs.withWeights(TestGraphs.randomEdges(20, 40, 5), 5)
-    val df = TestGraphs.toWeightedDf(spark, edges)
-    val sym = GraphOps.symmetrize(df)
-    val minEdge = sym
-      .groupBy($"src" as "id")
-      .agg(org.apache.spark.sql.functions.min($"weight") as "minw")
-    Oracle.assertEquivalent(
-      minEdge,
-      """SELECT CAST(id AS BIGINT) AS id, MIN(CAST(weight AS DOUBLE)) AS minw FROM (
-        |  SELECT src AS id, weight FROM edges
-        |  UNION ALL SELECT dst AS id, weight FROM edges
-        |) GROUP BY id""".stripMargin,
-      "edges" -> df,
-    )
   }
 }

@@ -1,10 +1,10 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
-import repro.ampc.Metrics
+import repro.ampc.{DhtRegistry, Metrics}
 import repro.graphs.GraphOps
 import repro.ref.Reference
-import repro.trees.TreeFixtures
+import repro.trees.{HeavyLight, TreeFixtures}
 
 class FLightEdgesSpec extends SparkSpec {
 
@@ -23,52 +23,42 @@ class FLightEdgesSpec extends SparkSpec {
     }.toSet
   }
 
+  private def light(
+      edges: Seq[(Long, Long, Double)],
+      forest: Seq[(Long, Long, Double)],
+  ): Set[(Long, Long, Double)] = {
+    val metrics = Metrics.fresh("flight-test")
+    val comp = DhtRegistry.create[Long]("flight-comp", metrics)
+    val tree = DhtRegistry.create[HeavyLight]("flight-tree", metrics)
+    try
+      GraphOps
+        .collectWeighted(FLightEdges.classify(spark, TestGraphs.toWeightedDf(spark, edges), forest, comp, tree))
+        .toSet
+    finally { comp.close(); tree.close(); metrics.close() }
+  }
+
   for (seed <- 1 to 8)
     test(s"classification matches brute force (seed $seed)") {
       val edges = TestGraphs.withWeights(TestGraphs.randomEdges(25, 60, seed), seed)
       val forest = Reference.kruskal(TestGraphs.withWeights(TestGraphs.randomEdges(25, 30, seed + 50), seed))
-      val metrics = Metrics.fresh("flight-test")
-      val got = GraphOps
-        .collectWeighted(
-          FLightEdges.classify(spark, TestGraphs.toWeightedDf(spark, edges), forest, metrics))
-        .toSet
-      metrics.close()
-      assert(got == bruteLight(edges, forest))
+      assert(light(edges, forest) == bruteLight(edges, forest))
     }
 
   test("forest edges are always light") {
     val forest = Reference.kruskal(TestGraphs.withWeights(TestGraphs.connectedEdges(15, 10, 3), 3))
-    val metrics = Metrics.fresh("flight-test2")
-    val got = GraphOps
-      .collectWeighted(
-        FLightEdges.classify(spark, TestGraphs.toWeightedDf(spark, forest), forest, metrics))
-      .toSet
-    metrics.close()
-    assert(got == forest.toSet)
+    assert(light(forest, forest) == forest.toSet)
   }
 
   test("cross-component edges are always light") {
     val forest = Seq((0L, 1L, 0.5))
     val edges = Seq((2L, 3L, 9.9), (0L, 5L, 9.9))
-    val metrics = Metrics.fresh("flight-test3")
-    val got = GraphOps
-      .collectWeighted(
-        FLightEdges.classify(spark, TestGraphs.toWeightedDf(spark, edges), forest, metrics))
-      .toSet
-    metrics.close()
-    assert(got == edges.toSet)
+    assert(light(edges, forest) == edges.toSet)
   }
 
   test("an edge heavier than its tree path is dropped") {
     val forest = Seq((0L, 1L, 1.0), (1L, 2L, 2.0))
     val edges = Seq((0L, 2L, 5.0), (0L, 2L, 1.5))
-    val metrics = Metrics.fresh("flight-test4")
-    val got = GraphOps
-      .collectWeighted(
-        FLightEdges.classify(spark, TestGraphs.toWeightedDf(spark, edges), forest, metrics))
-      .toSet
-    metrics.close()
-    assert(got == Set((0L, 2L, 1.5)))
+    assert(light(edges, forest) == Set((0L, 2L, 1.5)))
   }
 }
 

@@ -1,48 +1,44 @@
 package repro.eval
 
+import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 
-/** Smoke tests of the table harnesses at test scale: the builders must
-  * produce a row per input and the structural expectations the paper
-  * reports (AMPC shuffle counts constant, MPC growing) must hold.
-  */
+/** The table builders at test scale, each checked by [[TableChecks]]. */
 class TablesSpec extends SparkSpec {
 
   test("table1 produces one row per scale with flat AMPC columns") {
-    val out = Tables.table1(spark, Seq(7, 8))
-    val dataRows = out.linesIterator.filter(_.trim.headOption.exists(_.isDigit)).toSeq
-    assert(dataRows.size == 2)
+    TableChecks.table1(Tables.table1(spark, bench = false), bench = false)
   }
 
   test("table2 lists every analog dataset and the cycle inputs") {
-    val out = Tables.table2(spark, bench = false)
-    Seq("OK", "TW", "FS", "CW", "HL", "2e3", "2e4").foreach { key =>
-      assert(out.contains(key), s"missing $key in:\n$out")
-    }
+    TableChecks.table2(Tables.table2(spark, bench = false), bench = false)
   }
 
   test("table3 reports AMPC MIS/MM at 1 shuffle and AMPC MSF at 5") {
-    val out = Tables.table3(spark, bench = false)
-    val misRow = out.linesIterator.find(_.startsWith("AMPC MIS")).get
-    val mmRow = out.linesIterator.find(_.startsWith("AMPC MM")).get
-    val msfRow = out.linesIterator.find(_.startsWith("AMPC MSF")).get
-    assert(misRow.contains("1 (1)") && mmRow.contains("1 (1)") && msfRow.contains("5 (5)"))
-    val mpcMis = out.linesIterator.find(_.startsWith("MPC MIS")).get
-    // MPC rows must show multi-shuffle counts
-    assert(!mpcMis.contains(" 1 ("))
+    TableChecks.table3(Tables.table3(spark, bench = false))
   }
 
   test("table4 shows AMPC-RDMA fastest on every row") {
-    val out = Tables.table4(spark, bench = false)
-    val dataRows = out.linesIterator.filter(l => l.startsWith("2-Cyc.") || l.startsWith("MIS")).toSeq
-    assert(dataRows.nonEmpty)
-    dataRows.foreach { row =>
-      // "ours (paper)" cells: extract our ratios — TCP and MPC >= 1.0
-      val ratios = raw"(\d+\.\d+) \(".r.findAllMatchIn(row).map(_.group(1).toDouble).toSeq
-      assert(ratios.size == 3, row)
-      assert(ratios(0) == 1.0)
-      assert(ratios(1) >= 1.0, s"TCP not slower: $row")
-      assert(ratios(2) >= 1.0, s"MPC not slower: $row")
-    }
+    TableChecks.table4(Tables.table4(spark, bench = false), bench = false)
+  }
+}
+
+object RenderSpec {
+  final case class Row(name: String, count: Long, ratio: Vs[Double])
+}
+
+class RenderSpec extends AnyFunSuite {
+  import RenderSpec.Row
+
+  test("render lays out any row class as a markdown table under its caption") {
+    val t = Table("caption", Seq(Row("a", 12345, Vs(1.0, "1.74")), Row("bb", 7, Vs(2.345, "-"))))
+    assert(Tables.render(t) ==
+      """caption
+        |
+        || name | count |       ratio |
+        ||-----:|------:|------------:|
+        ||    a | 12345 | 1.00 (1.74) |
+        ||   bb |     7 |    2.35 (-) |
+        |""".stripMargin)
   }
 }
