@@ -64,7 +64,7 @@ object AmpcMatching {
       val (_, twoM, _) = AmpcRound.write(kit, adj, dht, 16)(_.length)
       metrics.shuffle(twoM * GraphOps.EdgeBytes)
 
-      val (answers, passes) = AmpcRound.resolve(adj, queryBudget) { (v, a, b) =>
+      val (answers, passes) = AmpcRound.resolve(kit, adj, queryBudget) { (v, a, b) =>
         MatchingProcess.vertexProcess(v, a, seed, dht, matchedCache, finishedCache, metrics, b)
       }
       val matched = answers.collect { case (v, Some(p)) => (math.min(v, p), math.max(v, p)) }

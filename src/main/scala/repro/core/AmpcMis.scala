@@ -62,7 +62,7 @@ object AmpcMis {
       metrics.shuffle(m * GraphOps.EdgeBytes)
 
       // Step (3): ParDo the IsInMIS query process over all vertices.
-      val (answers, passes) = AmpcRound.resolve(directed, queryBudget) { (v, adj, b) =>
+      val (answers, passes) = AmpcRound.resolve(kit, directed, queryBudget) { (v, adj, b) =>
         QueryProcess.inMis(v, adj, seed, dht, cache, metrics, b)
       }
       Result(answers.collect { case (v, true) => v }.toSet, passes, metrics.snapshot)

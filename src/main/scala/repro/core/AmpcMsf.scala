@@ -152,9 +152,8 @@ object AmpcMsf {
       // The contraction's job computes and checkpoints it, so the mapping
       // keeps no lineage back to the DHT, which `run` closes.
       metrics.shuffle(nVertices * GraphOps.EdgeBytes)
-      val mapping = rows
-        .mapPartitions(_.map { case (v, _) => (v, PointerJump.root(v, parentDht, rootCache, metrics)) }, preservesPartitioning = true)
-        .localCheckpoint()
+      val mapping = kit.lasting(rows.mapPartitions(
+        _.map { case (v, _) => (v, PointerJump.root(v, parentDht, rootCache, metrics)) }, preservesPartitioning = true))
 
       // Shuffles 4–5: contract the graph through the mapping. Each input
       // row leaves the row of its src with the src's root (a narrow
@@ -169,7 +168,7 @@ object AmpcMsf {
         val rv = root.get
         Option.when(e.root != rv)(((math.min(e.root, rv), math.max(e.root, rv)), e))
       }
-      val contracted = kit.reduced(crossing)(lighter).collect().toSeq.map { case ((cu, cv), e) => (cu, cv, e.src, e.dst, e.w) }
+      val contracted = kit.collect(kit.reduced(crossing)(lighter)).toSeq.map { case ((cu, cv), e) => (cu, cv, e.src, e.dst, e.w) }
 
       // In-memory MSF on the contracted graph: Kruskal keyed by roots,
       // emitting the original endpoints of each chosen edge.
@@ -179,7 +178,7 @@ object AmpcMsf {
         .filter { case (cu, cv, _, _, _) => uf.union(cu, cv) }
         .map { case (_, _, s, d, w) => (math.min(s, d), math.max(s, d), w) }
 
-      val primEdges = searchOut.flatMap(e => Option.when(e.kind == 0)((e.a, e.b, e.w))).collect().toSeq
+      val primEdges = kit.collect(searchOut.flatMap(e => Option.when(e.kind == 0)((e.a, e.b, e.w)))).toSeq
 
       val msf = (primEdges ++ extra).distinct
       val nContracted = contracted.flatMap(c => Seq(c._1, c._2)).distinct.size.toLong

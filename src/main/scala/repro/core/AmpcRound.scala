@@ -43,7 +43,7 @@ private[core] object AmpcRound {
     *
     * @return every row's answer, and the number of passes
     */
-  def resolve[V, R](rows: RDD[(Long, V)], budget: Long)(
+  def resolve[V, R](kit: CoPartitioned, rows: RDD[(Long, V)], budget: Long)(
       query: (Long, V, Long) => Option[R]
   ): (Seq[(Long, R)], Int) = {
     require(budget >= 1, s"truncation schedule cannot finish: query budget $budget (need budget >= 1)")
@@ -55,7 +55,7 @@ private[core] object AmpcRound {
     while (!done) {
       passes += 1
       val pass = b
-      val out = pending.map { case (v, a) => (v, query(v, a, pass)) }.collect()
+      val out = kit.collect(pending.map { case (v, a) => (v, query(v, a, pass)) })
       out.foreach { case (v, r) => r.foreach(x => answers += ((v, x))) }
       val unresolved = out.collect { case (v, None) => v }.toSet
       if (unresolved.isEmpty) done = true

@@ -59,12 +59,12 @@ object AmpcTwoCycle {
       metrics.shuffle(twoM * GraphOps.EdgeBytes)
 
       // Deterministic fallback so the walk phase has somewhere to start.
-      val sampledIds = if (picked.isEmpty && n > 0) Array(adj.keys.min()) else picked.sorted
+      val sampledIds = if (picked.isEmpty && n > 0) Array(kit.collect(adj.mapPartitions(_.map(_._1))).min) else picked.sorted
       val forced = sampledIds.toSet
       def stopAt(v: Long): Boolean = isSampled(v) || forced(v)
 
       // Walk outward from every sample, in both directions, through the DHT.
-      val segments = spark.sparkContext
+      val segments = kit.collect(spark.sparkContext
         .parallelize(sampledIds.toIndexedSeq)
         .mapPartitions { it =>
           it.flatMap { v =>
@@ -86,8 +86,7 @@ object AmpcTwoCycle {
               Segment(v, cur, interior, first)
             }
           }
-        }
-        .collect()
+        })
 
       // Every segment between two *distinct* samples is discovered once
       // from each end; keep the walk starting at the smaller sample. Both

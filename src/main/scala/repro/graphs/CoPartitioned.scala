@@ -1,11 +1,14 @@
 package repro.graphs
 
-import org.apache.spark.{HashPartitioner, Unpersist}
+import org.apache.spark.{HashPartitioner, TaskContext, Unpersist}
 import org.apache.spark.rdd.{RDD, ShuffledRDD}
 import org.apache.spark.serializer.JavaSerializer
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.functions.col
 import org.apache.spark.storage.StorageLevel
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 import scala.reflect.ClassTag
 
 /** The pair-RDD plumbing the AMPC rounds and the MPC baselines share.
@@ -14,6 +17,18 @@ import scala.reflect.ClassTag
   * Zaharia et al., NSDI 2012), and the only wide steps left are the
   * shuffles an algorithm declares. One instance serves one run, and holds
   * the RDDs it keeps until [[release]].
+  *
+  * At this scale Spark's own bookkeeping costs more than the work, so the
+  * kit keeps out of three parts of it:
+  *  - a combine runs in a hash map of the kit's on each side of a plain
+  *    shuffle, not in Spark's aggregator, whose map re-measures its size
+  *    as it grows. It cannot spill: a combine holds its partition in
+  *    memory, as the DHT holds the whole graph in one JVM;
+  *  - a kept RDD is stored as one array per partition, which Spark
+  *    measures once, not row by row;
+  *  - an action is one `runJob` of a kit closure. Spark's `collect` and
+  *    `count` make it clean closures declared in its large `RDD` and
+  *    `SparkContext` classes, which costs more than a small job.
   */
 private[repro] final class CoPartitioned(spark: SparkSession) {
   private val part = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
@@ -23,10 +38,13 @@ private[repro] final class CoPartitioned(spark: SparkSession) {
   private val held = mutable.ArrayBuffer.empty[RDD[_]]
 
   /** `rdd`, locally checkpointed by the first action that computes it. */
-  def checkpoint[T](rdd: RDD[T]): RDD[T] = { held += rdd.localCheckpoint(); rdd }
+  def checkpoint[T: ClassTag](rdd: RDD[T]): RDD[T] = stored(rdd)(b => held += b.localCheckpoint())
 
   /** `rdd`, cached by the first action that computes it. */
-  def keep[T](rdd: RDD[T]): RDD[T] = { held += rdd.persist(StorageLevel.MEMORY_AND_DISK); rdd }
+  def keep[T: ClassTag](rdd: RDD[T]): RDD[T] = stored(rdd)(b => held += b.persist(StorageLevel.MEMORY_AND_DISK))
+
+  /** [[checkpoint]] for an RDD a run returns: [[release]] leaves it. */
+  def lasting[T: ClassTag](rdd: RDD[T]): RDD[T] = stored(rdd)(_.localCheckpoint())
 
   /** Drops the blocks of every RDD [[checkpoint]] or [[keep]] took. Not
     * through `RDD.unpersist`, which warns for each locally checkpointed one
@@ -34,45 +52,54 @@ private[repro] final class CoPartitioned(spark: SparkSession) {
     */
   def release(): Unit = held.foreach(Unpersist(_))
 
+  /** `rdd` read back from one array per partition, which `store` marks. */
+  private def stored[T: ClassTag](rdd: RDD[T])(store: RDD[Array[T]] => Unit): RDD[T] = {
+    val blocks = rdd.mapPartitions(it => Iterator.single(it.toArray), preservesPartitioning = true)
+    store(blocks)
+    blocks.mapPartitions(_.flatMap(_.iterator), preservesPartitioning = true)
+  }
+
   /** `rdd` moved to the partitions of its keys. */
   def shuffled[V: ClassTag](rdd: RDD[(Long, V)]): RDD[(Long, V)] =
     new ShuffledRDD[Long, V, V](rdd, part).setSerializer(ser)
 
   /** One value per key, combined on the map side before the shuffle. */
   def combined[K: ClassTag, V: ClassTag, C: ClassTag](rdd: RDD[(K, V)])(create: V => C, add: (C, V) => C, merge: (C, C) => C): RDD[(K, C)] =
-    rdd.combineByKeyWithClassTag(create, add, merge, part, mapSideCombine = true, ser)
+    new ShuffledRDD[K, C, C](rdd.mapPartitions(CoPartitioned.combine(_)(create, add)), part)
+      .setSerializer(ser)
+      .mapPartitions(CoPartitioned.combine(_)(identity[C], merge), preservesPartitioning = true)
 
   def reduced[K: ClassTag, V: ClassTag](rdd: RDD[(K, V)])(f: (V, V) => V): RDD[(K, V)] =
     combined(rdd)(identity[V], f, f)
 
-  /** The distinct values of every key. */
-  def grouped(rdd: RDD[(Long, Long)]): RDD[(Long, mutable.HashSet[Long])] =
-    combined[Long, Long, mutable.HashSet[Long]](rdd)(mutable.HashSet(_), _ += _, _ ++= _)
+  /** The distinct values of every key, ascending. */
+  def grouped(rdd: RDD[(Long, Long)]): RDD[(Long, Array[Long])] = lists(rdd)(CoPartitioned.sortedDistinct)
 
   /** One row per vertex of `edges`' (src, dst) rows taken both ways: its
     * neighbors in ascending order, a repeated edge repeated.
     */
   def adjacency(edges: DataFrame): RDD[(Long, Array[Long])] =
-    shuffled(pairs(edges).flatMap { case (u, v) => Iterator((u, v), (v, u)) }).mapPartitions(
+    lists(pairs(edges).flatMap { case (u, v) => Iterator((u, v), (v, u)) })(_.sorted)
+
+  /** Every key's values as one array, passed through `finish`. */
+  private def lists(rdd: RDD[(Long, Long)])(finish: Array[Long] => Array[Long]): RDD[(Long, Array[Long])] =
+    shuffled(rdd).mapPartitions(
       { it =>
-        val nbrs = mutable.LongMap.empty[mutable.ArrayBuilder.ofLong]
-        it.foreach { case (v, u) => nbrs.getOrElseUpdate(v, new mutable.ArrayBuilder.ofLong) += u }
-        nbrs.iterator.map { case (v, b) => (v, b.result().sorted) }
+        val values = mutable.LongMap.empty[mutable.ArrayBuilder.ofLong]
+        it.foreach { case (k, v) => values.getOrElseUpdate(k, new mutable.ArrayBuilder.ofLong) += v }
+        values.iterator.map { case (k, b) => (k, finish(b.result())) }
       },
       preservesPartitioning = true,
     )
 
   /** `edges`' (src, dst) rows as given. */
-  def pairs(edges: DataFrame): RDD[(Long, Long)] = {
-    import spark.implicits._
-    edges.select("src", "dst").as[(Long, Long)].rdd
-  }
+  def pairs(edges: DataFrame): RDD[(Long, Long)] =
+    CoPartitioned.rows(edges, col("src").cast("long"), col("dst").cast("long"))(r => (r.getLong(0), r.getLong(1)))
 
   /** `edges`' (src, dst, weight) rows as given. */
-  def triples(edges: DataFrame): RDD[(Long, Long, Double)] = {
-    import spark.implicits._
-    edges.select("src", "dst", "weight").as[(Long, Long, Double)].rdd
-  }
+  def triples(edges: DataFrame): RDD[(Long, Long, Double)] =
+    CoPartitioned.rows(edges, col("src").cast("long"), col("dst").cast("long"), col("weight").cast("double"))(
+      r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
 
   /** `f(key, value, table's value for the key)` for every row. This is a
     * narrow hash join: partition i of `rows` and of `table` hold the same
@@ -98,12 +125,61 @@ private[repro] final class CoPartitioned(spark: SparkSession) {
     * selects, in one Spark action.
     */
   def tally[T, R: ClassTag](rows: RDD[T])(length: T => Long, pick: T => Option[R]): (Long, Long, Array[R]) = {
-    val parts = rows.mapPartitions { it =>
+    val parts = CoPartitioned.run(rows) { it =>
       var (n, total) = (0L, 0L)
       val picked = Array.newBuilder[R]
       it.foreach { r => n += 1; total += length(r); picked ++= pick(r) }
-      Iterator.single((n, total, picked.result()))
-    }.collect()
+      (n, total, picked.result())
+    }
     (parts.map(_._1).sum, parts.map(_._2).sum, parts.flatMap(_._3))
+  }
+
+  /** Every row of `rdd`, in partition order, in one Spark action. */
+  def collect[T: ClassTag](rdd: RDD[T]): Array[T] = Array.concat(CoPartitioned.run(rdd)(_.toArray).toSeq: _*)
+
+  /** The number of rows of `rdd`, in one Spark action. */
+  def count[T](rdd: RDD[T]): Long = CoPartitioned.run(rdd)(_.size.toLong).sum
+}
+
+private object CoPartitioned {
+
+  /** `f` over every partition of `rdd`, in one Spark job. */
+  def run[T, U: ClassTag](rdd: RDD[T])(f: Iterator[T] => U): Array[U] = {
+    val out = new Array[U](rdd.partitions.length)
+    rdd.sparkContext.runJob(rdd, (_: TaskContext, it: Iterator[T]) => f(it), out.indices, (i: Int, u: U) => out(i) = u)
+    out
+  }
+
+  /** One (key, combined value) per distinct key of `it`. */
+  def combine[K, V, C](it: Iterator[(K, V)])(create: V => C, add: (C, V) => C): Iterator[(K, C)] = {
+    val acc = new java.util.HashMap[K, Any]
+    it.foreach { case (k, v) =>
+      val c = acc.get(k)
+      acc.put(k, if (c == null) create(v) else add(c.asInstanceOf[C], v))
+    }
+    acc.entrySet.iterator.asScala.map(e => (e.getKey, e.getValue.asInstanceOf[C]))
+  }
+
+  /** `a`'s distinct values in ascending order (`a` is sorted in place). */
+  def sortedDistinct(a: Array[Long]): Array[Long] = {
+    java.util.Arrays.sort(a)
+    var n = 0
+    var i = 0
+    while (i < a.length) {
+      if (n == 0 || a(i) != a(n - 1)) { a(n) = a(i); n += 1 }
+      i += 1
+    }
+    java.util.Arrays.copyOf(a, n)
+  }
+
+  /** `cols` of `df`, each row read by `read`, without the typed `Dataset`
+    * path (its encoders and a closure Spark declares).
+    */
+  def rows[T: ClassTag](df: DataFrame, cols: Column*)(read: InternalRow => T): RDD[T] = {
+    val names = cols.mkString(", ")
+    df.select(cols: _*).queryExecution.toRdd.mapPartitions(_.map { r =>
+      require(!r.anyNull, s"null in $names")
+      read(r)
+    })
   }
 }

@@ -67,14 +67,14 @@ object LocalContractionCC {
       var finalLabels: DataFrame = null
       var num = 0L
       while (!done) {
-        val edgeCount = cur.count()
+        val edgeCount = kit.count(cur)
         traj += edgeCount
         if (edgeCount <= localThreshold) {
           // In-memory finish: union-find over the residual supergraph.
-          val rest = cur.collect()
-          labels.localCheckpoint()
+          val rest = kit.collect(cur)
+          labels = kit.lasting(labels)
           // Partitioned by supervertex, so a per-partition distinct is global.
-          val supervertices = labels.keys.mapPartitions(_.distinct).collect()
+          val supervertices = kit.collect(labels.mapPartitions(_.map(_._1).distinct))
           val roots = (rest.flatMap(e => Seq(e._1, e._2)).toSeq ++ supervertices.toSeq).distinct
           val compOf = Reference.connectedComponents(roots, rest.toSeq) // small by construction
           finalLabels = labels
@@ -105,7 +105,7 @@ object LocalContractionCC {
           val relabeled = withParents(byDst, parents) { (pu, pv) =>
             if (pu == pv) None else Some((math.min(pu, pv), math.max(pu, pv)))
           }
-          cur = checkpoint(kit.grouped(relabeled).flatMapValues(identity))
+          cur = checkpoint(kit.grouped(relabeled).flatMapValues(_.iterator))
           labels = shuffled(withParents(labels, parents)((orig, p) => Some((p, orig))))
         }
       }

@@ -22,8 +22,9 @@ import scala.collection.mutable
   * Computes the same lexicographically-first matching as
   * [[repro.core.AmpcMatching]] (same [[Priorities]] ranks).
   * On [[CoPartitioned]], a phase's one Spark action sizes the graph and
-  * collects the matched pairs. Edge ranks are distinct, so a vertex is
-  * matched iff its minimum edge is also the other endpoint's minimum.
+  * collects the matched pairs. Edge ranks are distinct and the graph has
+  * no loops, so a vertex is matched iff its minimum edge is also the other
+  * endpoint's minimum, which it learns from the ranks its neighbors send.
   */
 object MpcMatching {
 
@@ -54,16 +55,17 @@ object MpcMatching {
         // Shuffle 1 (declared below, once the phase is known to run):
         // every vertex sends its minimum incident rank to all neighbors,
         // so edge (v,u) is recognized at both endpoints as matched iff its
-        // rank is minimal at v AND at u. A narrow lookup then takes the
-        // decision at every vertex.
-        val mins = kit.combined[Long, (Long, Long), mutable.LongMap[Long]](adj.flatMap { case (v, (ns, rs)) =>
-          rs.minOption.iterator.flatMap(mv => ns.iterator.map(u => (u, (v, mv))))
-        })(mutable.LongMap(_), _ += _, _ ++= _)
+        // rank is minimal at v AND at u. Only u can send v the rank of
+        // edge (v,u), so v is matched iff its own minimum is among the ranks
+        // it receives. A narrow lookup then takes the decision at every vertex.
+        val mins = kit.grouped(adj.flatMap { case (_, (ns, rs)) =>
+          rs.minOption.iterator.flatMap(mv => ns.iterator.map(u => (u, mv)))
+        })
         // Each row with the neighbor it is matched to this phase, if any.
         val decided = kit.keep(kit.lookup(adj, mins, keepsKeys = true) {
-          (v, a: (Array[Long], Array[Long]), nbrMins: Option[mutable.LongMap[Long]]) =>
+          (v, a: (Array[Long], Array[Long]), received: Option[Array[Long]]) =>
             val (ns, rs) = a
-            val partner = Option.when(rs.nonEmpty)(ns(rs.indexOf(rs.min))).filter(u => nbrMins.flatMap(_.get(u)).contains(rs.min))
+            val partner = Option.when(rs.nonEmpty && received.exists(java.util.Arrays.binarySearch(_, rs.min) >= 0))(ns(rs.indexOf(rs.min)))
             Some((v, (ns, rs, partner)))
         })
         val (nodeCount, edgeCount, matchedPairs) = kit.tally(decided)(
@@ -72,7 +74,7 @@ object MpcMatching {
         )
         if (edgeCount == 0) done = true
         else if (edgeCount <= localThreshold) {
-          val es = adj.collect().toSeq.flatMap { case (v, (ns, _)) => ns.filter(v < _).map((v, _)) }
+          val es = kit.collect(adj).toSeq.flatMap { case (v, (ns, _)) => ns.filter(v < _).map((v, _)) }
           matched ++= Reference.lfMatching(es, Priorities.edgeRank(_, _, seed))
           done = true
         } else {
@@ -88,11 +90,13 @@ object MpcMatching {
             if (partner.isDefined) ns.iterator.map(u => (u, v)) else Iterator.empty
           })
           adj = kit.checkpoint(kit.lookup(decided, deletions, keepsKeys = true) {
-            (v, r: (Array[Long], Array[Long], Option[Long]), del: Option[mutable.HashSet[Long]]) =>
+            (v, r: (Array[Long], Array[Long], Option[Long]), del: Option[Array[Long]]) =>
               val (ns, rs, partner) = r
-              val gone = del.getOrElse(mutable.HashSet.empty[Long])
-              val keep = ns.indices.filterNot(i => gone(ns(i)))
-              Option.when(partner.isEmpty)((v, (keep.map(ns).toArray, keep.map(rs).toArray)))
+              Option.when(partner.isEmpty) {
+                val gone = del.getOrElse(Array.emptyLongArray)
+                val keep = ns.indices.filter(i => java.util.Arrays.binarySearch(gone, ns(i)) < 0).toArray
+                (v, (keep.map(ns), keep.map(rs)))
+              }
           })
         }
       }

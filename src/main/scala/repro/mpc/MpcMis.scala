@@ -63,7 +63,7 @@ object MpcMis {
         if (nodeCount == 0) done = true
         else if (edgeCount <= localThreshold) {
           // In-memory switch: finish the residual graph on one machine.
-          val local = adj.collect().toSeq
+          val local = kit.collect(adj).toSeq
           val es = local.flatMap { case (v, ns) => ns.filter(v < _).map((v, _)) }
           mis ++= Reference.lfMis(local.map(_._1), es, Priorities.vertexRank(_, seed))
           done = true
@@ -89,8 +89,8 @@ object MpcMis {
             if (removed) ns.iterator.map(u => (u, v)) else Iterator.empty
           })
           adj = kit.checkpoint(kit.lookup(marked, deletions, keepsKeys = true) {
-            (v, m: (Array[Long], Boolean), del: Option[mutable.HashSet[Long]]) =>
-              if (m._2) None else Some((v, del.fold(m._1)(d => m._1.filterNot(d))))
+            (v, m: (Array[Long], Boolean), del: Option[Array[Long]]) =>
+              if (m._2) None else Some((v, del.fold(m._1)(d => m._1.filter(u => java.util.Arrays.binarySearch(d, u) < 0))))
           })
         }
       }

@@ -73,7 +73,7 @@ object MpcMsf {
         if (edgeCount == 0) done = true
         else if (edgeCount <= localThreshold) {
           // In-memory finish: Kruskal over current labels, emitting originals.
-          val rest = cur.collect()
+          val rest = kit.collect(cur)
           val uf = new Reference.UnionFind()
           rest.sortBy(_._2)(byWeight).foreach { case (u, e) => if (uf.union(u, e.to)) msf += e.original }
           done = true

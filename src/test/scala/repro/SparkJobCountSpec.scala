@@ -1,7 +1,7 @@
 package repro
 
 import org.apache.spark.ListenerDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart, SparkListenerStageCompleted}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart, SparkListenerStageCompleted, SparkListenerTaskEnd}
 import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import repro.core.{AmpcConnectivity, AmpcMatching, AmpcMis, AmpcMsf, AmpcTwoCycle}
 import repro.graphs.GraphGen
@@ -16,13 +16,15 @@ class SparkJobCountSpec extends SparkSpec {
   /** Records each job's group, and the group of each SQL execution, so a
     * job AQE submits from a pool thread without a group is still charged
     * to the group of the action that started its execution. Also records
-    * which job's stages wrote shuffle data: the engine's count of shuffles.
+    * which job's stages wrote shuffle data: the engine's count of shuffles,
+    * and the peak execution memory each task reports.
     */
   private final class JobsByGroup extends SparkListener {
     private val jobs = mutable.HashMap.empty[Int, (Option[String], Option[Long])]
     private val execGroup = mutable.HashMap.empty[Long, String]
     private val stageJob = mutable.HashMap.empty[Int, Int]
     private val shuffleStageJobs = mutable.ArrayBuffer.empty[Int]
+    private val taskPeaks = mutable.ArrayBuffer.empty[(Int, Long)]
 
     override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
       def prop(k: String) = Option(e.properties).flatMap(p => Option(p.getProperty(k)))
@@ -33,6 +35,10 @@ class SparkJobCountSpec extends SparkSpec {
     override def onStageCompleted(e: SparkListenerStageCompleted): Unit = synchronized {
       val wrote = Option(e.stageInfo.taskMetrics).exists(_.shuffleWriteMetrics.bytesWritten > 0)
       if (wrote) shuffleStageJobs ++= stageJob.get(e.stageInfo.stageId)
+    }
+
+    override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
+      Option(e.taskMetrics).foreach(m => taskPeaks += ((e.stageId, m.peakExecutionMemory)))
     }
 
     override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
@@ -48,9 +54,12 @@ class SparkJobCountSpec extends SparkSpec {
     def count(group: String): Int = synchronized(jobs.keys.count(inGroup(group)))
 
     def shuffleStages(group: String): Int = synchronized(shuffleStageJobs.count(inGroup(group)))
+
+    def peakExecutionMemory(group: String): Long = synchronized(
+      taskPeaks.collect { case (stage, peak) if stageJob.get(stage).exists(inGroup(group)) => peak }.maxOption.getOrElse(0L))
   }
 
-  private final class Seen[T](val result: T, val jobs: Int, val shuffleStages: Int)
+  private final class Seen[T](val result: T, val jobs: Int, val shuffleStages: Int, val peakExecutionMemory: Long)
 
   private def observe[T](body: => T): Seen[T] = {
     val sc = spark.sparkContext
@@ -64,7 +73,7 @@ class SparkJobCountSpec extends SparkSpec {
         sc.clearJobGroup()
         ListenerDrain(sc); sc.removeSparkListener(listener)
       }
-    new Seen(result, listener.count(group), listener.shuffleStages(group))
+    new Seen(result, listener.count(group), listener.shuffleStages(group), listener.peakExecutionMemory(group))
   }
 
   private def jobsOf(body: => Unit): Int = observe(body).jobs
@@ -156,6 +165,22 @@ class SparkJobCountSpec extends SparkSpec {
       case (name, perPhase, run) if run.shuffleStages > perPhase * run.result + 1 =>
         s"$name: ${run.shuffleStages} shuffle stages in ${run.result} phases"
     }
+    assert(over.isEmpty, over.mkString("; "))
+  }
+
+  // The kit combines in its own hash maps around plain shuffles, which
+  // Spark writes with its bypass-merge writer and reads without a merge.
+  // A `combineByKey` runs Spark's ExternalSorter and ExternalAppendOnlyMap,
+  // which report the execution memory they held.
+  test("AMPC MSF, LocalContractionCC and MPC MSF tasks report no execution memory") {
+    val weighted = TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(edges, 4)).localCheckpoint()
+    val g = cycles
+    val peaks = Seq(
+      "AMPC MSF" -> observe(AmpcMsf.run(spark, weighted, 4)).peakExecutionMemory,
+      "LocalContractionCC" -> observe(LocalContractionCC.run(spark, g, 4, localThreshold = 64)).peakExecutionMemory,
+      "MPC MSF" -> observe(MpcMsf.run(spark, weighted, 4, localThreshold = 0)).peakExecutionMemory,
+    )
+    val over = peaks.collect { case (name, peak) if peak > 0 => s"$name: a task held $peak bytes" }
     assert(over.isEmpty, over.mkString("; "))
   }
 }

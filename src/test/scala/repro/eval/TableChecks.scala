@@ -26,12 +26,19 @@ object TableChecks {
     if (bench) assert(mpcMis.zip(mpcMis.tail).forall { case (a, b) => a <= b }, "mpcMis decreases")
   }
 
-  /** A row per analog and per cycle input; a 2×k cycle has m = n = 2k. */
+  /** A row per analog and per cycle input. The generated 2×k cycles
+    * measure n = m = 2k, two components of k vertices and diameter k/2
+    * (the BFS bound, exact on a cycle).
+    */
   def table2(t: Table[Table2Row], bench: Boolean): Unit = withClue(Tables.render(t)) {
     val cycles = Datasets.cycleCases(bench)
     assert(t.rows.map(_.graph).sorted == (analogs ++ cycles.map(_.label)).sorted)
     t.rows.foreach(r => assert(r.numCc.ours >= 1 && r.maxCc.ours <= r.n.ours, r))
-    t.rows.filter(r => cycles.exists(_.label == r.graph)).foreach(r => assert(r.m.ours == r.n.ours, r))
+    cycles.foreach { c =>
+      val r = t.rows.find(_.graph == c.label).get
+      assert(r.n.ours == 2 * c.k && r.m.ours == 2 * c.k && r.numCc.ours == 2 && r.maxCc.ours == c.k, r)
+      assert(r.diam.ours.stripSuffix("*") == (c.k / 2).toString, r)
+    }
   }
 
   /** On every analog: AMPC MIS and MM one shuffle, AMPC MSF five, and
