@@ -1,5 +1,7 @@
 package repro.bench
 
+import org.apache.spark.BlockDrain
+import org.scalatest.BeforeAndAfterAll
 import repro.SparkSpec
 import repro.eval.{TableChecks, Tables}
 
@@ -11,8 +13,14 @@ import repro.eval.{TableChecks, Tables}
   * Scale note: set REPRO_BENCH_SCALE=small to fall back to the unit-test
   * scale (useful for a fast smoke run of the bench harness itself).
   */
-trait BenchScale {
+trait BenchScale extends BeforeAndAfterAll { this: SparkSpec =>
   def benchScale: Boolean = !sys.env.get("REPRO_BENCH_SCALE").contains("small")
+
+  /** A run drops its blocks asynchronously. One still being dropped when
+    * the JVM exits logs "not removed normally" and a
+    * `RejectedExecutionException` per block, so each suite waits for them.
+    */
+  override def afterAll(): Unit = try BlockDrain(spark.sparkContext) finally super.afterAll()
 }
 
 class Table1Bench extends SparkSpec with BenchScale {

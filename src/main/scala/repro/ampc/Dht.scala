@@ -90,7 +90,7 @@ final class KvCache[V](val id: String, val enabled: Boolean, metrics: Metrics)
 }
 
 object KvCache {
-  private val caches = new Registry[ConcurrentHashMap[Long, AnyRef]]("KV cache", () => new ConcurrentHashMap)
+  private[ampc] val caches = new Registry[ConcurrentHashMap[Long, AnyRef]]("KV cache", () => new ConcurrentHashMap)
 
   def create[V](tag: String, enabled: Boolean, metrics: Metrics): KvCache[V] =
     new KvCache[V](caches.open(tag), enabled, metrics)

@@ -84,12 +84,12 @@ final class Metrics private (val id: String) extends Serializable {
 }
 
 object Metrics {
-  private final class State {
+  private[ampc] final class State {
     val shuffles, shuffleBytes, kvQueries, kvReadBytes, kvWriteBytes, cacheHits = new LongAdder
     val maxChain = new LongAccumulator(java.lang.Long.max(_, _), 0L)
   }
 
-  private val registry = new Registry[State]("cost ledger", () => new State)
+  private[ampc] val registry = new Registry[State]("cost ledger", () => new State)
 
   /** Create a fresh ledger with a process-unique id. */
   def fresh(tag: String): Metrics = new Metrics(registry.open(tag))

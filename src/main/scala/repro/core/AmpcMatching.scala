@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.ampc.{Dht, DhtRegistry, KvCache, Metrics, RunMetrics}
+import repro.ampc.{Dht, KvCache, Metrics, RunMetrics}
 import repro.graphs.{CoPartitioned, GraphOps}
 
 /** Rank-sorted incidence list of one vertex: parallel arrays of edge
@@ -42,36 +42,31 @@ object AmpcMatching {
       seed: Long,
       caching: Boolean = true,
       queryBudget: Long = Long.MaxValue,
-  ): Result = {
-    val metrics = Metrics.fresh("ampc-mm")
-    val dht = DhtRegistry.create[EdgeAdj]("mm-adj", metrics)
+  ): Result = CoPartitioned.run(spark, "ampc-mm") { kit =>
+    val metrics = kit.metrics
+    val dht = kit.dht[EdgeAdj]("mm-adj")
     // Per-vertex caches (the §5.4 caching optimization): matched partner,
     // and "finished up to rank R" watermark.
-    val matchedCache = KvCache.create[Long]("mm-matched", caching, metrics)
-    val finishedCache = KvCache.create[Long]("mm-finished", caching, metrics)
-    val kit = new CoPartitioned(spark)
-    try {
-      // The single shuffle: group incident edges per vertex, sorted by rank.
-      val adj = kit.keep(kit.adjacency(edges).mapPartitions(
-        _.map { case (v, ns) =>
-          val sorted = ns.map(u => (Priorities.edgeRank(v, u, seed), u)).sortBy { case (r, u) => (r, u) }
-          (v, EdgeAdj(sorted.map(_._1), sorted.map(_._2)))
-        },
-        preservesPartitioning = true,
-      ))
+    val matchedCache = kit.cache[Long]("mm-matched", caching)
+    val finishedCache = kit.cache[Long]("mm-finished", caching)
+    // The single shuffle: group incident edges per vertex, sorted by rank.
+    val adj = kit.keep(kit.adjacency(edges).mapPartitions(
+      _.map { case (v, ns) =>
+        val sorted = ns.map(u => (Priorities.edgeRank(v, u, seed), u)).sortBy { case (r, u) => (r, u) }
+        (v, EdgeAdj(sorted.map(_._1), sorted.map(_._2)))
+      },
+      preservesPartitioning = true,
+    ))
 
-      // Every edge is listed at both endpoints: the write sums 2m.
-      val (_, twoM, _) = AmpcRound.write(kit, adj, dht, 16)(_.length)
-      metrics.shuffle(twoM * GraphOps.EdgeBytes)
+    // Every edge is listed at both endpoints: the write sums 2m.
+    val (_, twoM, _) = AmpcRound.write(kit, adj, dht, 16)(_.length)
+    metrics.shuffle(twoM * GraphOps.EdgeBytes)
 
-      val (answers, passes) = AmpcRound.resolve(kit, adj, queryBudget) { (v, a, b) =>
-        MatchingProcess.vertexProcess(v, a, seed, dht, matchedCache, finishedCache, metrics, b)
-      }
-      val matched = answers.collect { case (v, Some(p)) => (math.min(v, p), math.max(v, p)) }
-      Result(matched.toSet, passes, metrics.snapshot)
-    } finally {
-      kit.release(); dht.close(); matchedCache.close(); finishedCache.close(); metrics.close()
+    val (answers, passes) = AmpcRound.resolve(kit, adj, queryBudget) { (v, a, b) =>
+      MatchingProcess.vertexProcess(v, a, seed, dht, matchedCache, finishedCache, metrics, b)
     }
+    val matched = answers.collect { case (v, Some(p)) => (math.min(v, p), math.max(v, p)) }
+    Result(matched.toSet, passes, metrics.snapshot)
   }
 }
 

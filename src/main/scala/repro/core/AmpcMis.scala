@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.ampc.{Dht, DhtRegistry, KvCache, Metrics, RunMetrics}
+import repro.ampc.{Dht, KvCache, Metrics, RunMetrics}
 import repro.graphs.{CoPartitioned, GraphOps}
 
 /** AMPC Maximal Independent Set — Figure 1 of the paper.
@@ -38,37 +38,32 @@ object AmpcMis {
       seed: Long,
       caching: Boolean = true,
       queryBudget: Long = Long.MaxValue,
-  ): Result = {
-    val metrics = Metrics.fresh("ampc-mis")
-    val dht = DhtRegistry.create[Array[Long]]("mis-adj", metrics)
-    val cache = KvCache.create[Boolean]("mis-res", caching, metrics)
-    val kit = new CoPartitioned(spark)
-    try {
-      // Step (1): DirectEdgesUsingPriority — the algorithm's one shuffle.
-      // Each vertex keeps the neighbors that precede it, sorted by rank.
-      val directed = kit.keep(kit.adjacency(edges).mapPartitions(
-        _.map { case (v, ns) =>
-          val vr = Priorities.vertexRank(v, seed)
-          val preds = ns.filter(u => Priorities.precedes(Priorities.vertexRank(u, seed), u, vr, v))
-          (v, preds.sortBy(u => (Priorities.vertexRank(u, seed), u)))
-        },
-        preservesPartitioning = true,
-      ))
+  ): Result = CoPartitioned.run(spark, "ampc-mis") { kit =>
+    val metrics = kit.metrics
+    val dht = kit.dht[Array[Long]]("mis-adj")
+    val cache = kit.cache[Boolean]("mis-res", caching)
+    // Step (1): DirectEdgesUsingPriority — the algorithm's one shuffle.
+    // Each vertex keeps the neighbors that precede it, sorted by rank.
+    val directed = kit.keep(kit.adjacency(edges).mapPartitions(
+      _.map { case (v, ns) =>
+        val vr = Priorities.vertexRank(v, seed)
+        val preds = ns.filter(u => Priorities.precedes(Priorities.vertexRank(u, seed), u, vr, v))
+        (v, preds.sortBy(u => (Priorities.vertexRank(u, seed), u)))
+      },
+      preservesPartitioning = true,
+    ))
 
-      // Step (2): write the directed graph to the key-value store. Each
-      // undirected edge survives in exactly one direction, so the lengths
-      // the write sums give m, the directed rows step (1) shuffled.
-      val (_, m, _) = AmpcRound.write(kit, directed, dht, 8)(_.length)
-      metrics.shuffle(m * GraphOps.EdgeBytes)
+    // Step (2): write the directed graph to the key-value store. Each
+    // undirected edge survives in exactly one direction, so the lengths
+    // the write sums give m, the directed rows step (1) shuffled.
+    val (_, m, _) = AmpcRound.write(kit, directed, dht, 8)(_.length)
+    metrics.shuffle(m * GraphOps.EdgeBytes)
 
-      // Step (3): ParDo the IsInMIS query process over all vertices.
-      val (answers, passes) = AmpcRound.resolve(kit, directed, queryBudget) { (v, adj, b) =>
-        QueryProcess.inMis(v, adj, seed, dht, cache, metrics, b)
-      }
-      Result(answers.collect { case (v, true) => v }.toSet, passes, metrics.snapshot)
-    } finally {
-      kit.release(); dht.close(); cache.close(); metrics.close()
+    // Step (3): ParDo the IsInMIS query process over all vertices.
+    val (answers, passes) = AmpcRound.resolve(kit, directed, queryBudget) { (v, adj, b) =>
+      QueryProcess.inMis(v, adj, seed, dht, cache, metrics, b)
     }
+    Result(answers.collect { case (v, true) => v }.toSet, passes, metrics.snapshot)
   }
 }
 

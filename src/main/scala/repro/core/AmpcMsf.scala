@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.ampc.{Dht, DhtRegistry, KvCache, Metrics, RunMetrics}
+import repro.ampc.{Dht, KvCache, Metrics, RunMetrics}
 import repro.graphs.{CoPartitioned, GraphOps}
 import repro.ref.Reference
 import scala.collection.mutable
@@ -104,14 +104,13 @@ object AmpcMsf {
       searchBudget: Int = 64,
   ): Result = contract(spark, weightedEdges, seed, searchBudget).result
 
-  private[core] def contract(spark: SparkSession, weightedEdges: DataFrame, seed: Long, searchBudget: Int): Contraction = {
-    import spark.implicits._
-    val metrics = Metrics.fresh("ampc-msf")
-    val adjDht = DhtRegistry.create[WeightAdj]("msf-adj", metrics)
-    val parentDht = DhtRegistry.create[Long]("msf-parent", metrics)
-    val rootCache = KvCache.create[Long]("msf-root", enabled = true, metrics)
-    val kit = new CoPartitioned(spark)
-    try {
+  private[core] def contract(spark: SparkSession, weightedEdges: DataFrame, seed: Long, searchBudget: Int): Contraction =
+    CoPartitioned.run(spark, "ampc-msf") { kit =>
+      import spark.implicits._
+      val metrics = kit.metrics
+      val adjDht = kit.dht[WeightAdj]("msf-adj")
+      val parentDht = kit.dht[Long]("msf-parent")
+      val rootCache = kit.cache[Long]("msf-root", enabled = true)
       // Part 1: SortGraph (shuffle 1) + KV-Write. The write counts the
       // vertices and sums their degrees to 2m.
       val rows = kit.keep(kit.shuffled(kit.triples(weightedEdges).flatMap { case (u, v, w) =>
@@ -150,7 +149,7 @@ object AmpcMsf {
 
       // Shuffle 3: pointer-jump construction — materialize vertex → root.
       // The contraction's job computes and checkpoints it, so the mapping
-      // keeps no lineage back to the DHT, which `run` closes.
+      // keeps no lineage back to the DHT, which the scope closes.
       metrics.shuffle(nVertices * GraphOps.EdgeBytes)
       val mapping = kit.lasting(rows.mapPartitions(
         _.map { case (v, _) => (v, PointerJump.root(v, parentDht, rootCache, metrics)) }, preservesPartitioning = true))
@@ -184,10 +183,7 @@ object AmpcMsf {
       val nContracted = contracted.flatMap(c => Seq(c._1, c._2)).distinct.size.toLong
       val result = Result(msf, mapping.toDF("id", "root"), contracted, nContracted, metrics.snapshot)
       Contraction(result, mapping, nVertices - children)
-    } finally {
-      kit.release(); adjDht.close(); parentDht.close(); rootCache.close(); metrics.close()
     }
-  }
 }
 
 /** The truncated Prim local search of Algorithm 1. */

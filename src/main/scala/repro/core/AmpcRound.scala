@@ -28,7 +28,6 @@ private[core] object AmpcRound {
       length: V => Int,
       pick: ((Long, V)) => Option[R] = (_: (Long, V)) => None,
   ): (Long, Long, Array[R]) = {
-    requireLocal(rows.sparkContext.master)
     val written = rows.map { case r @ (v, a) => dht.put(v, a, perEntry * length(a) + 8); r }
     kit.tally(written)(r => length(r._2).toLong, pick)
   }
@@ -66,13 +65,4 @@ private[core] object AmpcRound {
     }
     (answers.toSeq, passes)
   }
-
-  /** The DHT is one JVM's memory: under any master but `local` every
-    * executor would write and read its own empty store.
-    */
-  def requireLocal(master: String): Unit =
-    require(
-      master == "local" || master.startsWith("local["),
-      s"AMPC algorithms need a local master (the DHT lives in one JVM), got $master",
-    )
 }

@@ -1,8 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.ampc.{Dht, DhtRegistry, Metrics, RunMetrics}
-import repro.graphs.GraphOps
+import repro.ampc.{Dht, RunMetrics}
+import repro.graphs.{CoPartitioned, GraphOps}
 import repro.ref.Reference
 import repro.trees.{HeavyLight, RootedTree}
 
@@ -22,8 +22,8 @@ object FLightEdges {
 
   /** Returns G's F-light edges as a DataFrame (src, dst, weight). It
     * writes F's per-tree structures into `compDht` and `treeDht`, which the
-    * returned DataFrame reads: the caller closes both once it has no
-    * further use of the edges.
+    * returned DataFrame reads: both must stay open while the edges are in
+    * use.
     */
   def classify(
       spark: SparkSession,
@@ -83,17 +83,11 @@ object KktMsf {
       seed: Long,
       searchBudget: Int = 64,
       localThreshold: Long = 512,
-  ): Result = {
+  ): Result = CoPartitioned.run(spark, "kkt-msf") { kit =>
     import org.apache.spark.sql.functions._
-    val metrics = Metrics.fresh("kkt-msf")
-    val compDht = DhtRegistry.create[Long]("flight-comp", metrics)
-    val treeDht = DhtRegistry.create[HeavyLight]("flight-tree", metrics)
-    try {
-      val m = weightedEdges.count()
-      if (m <= localThreshold) {
-        val msf = Reference.kruskal(GraphOps.collectWeighted(weightedEdges))
-        return Result(msf, m, m, metrics.snapshot)
-      }
+    val m = weightedEdges.count()
+    if (m <= localThreshold) Result(Reference.kruskal(GraphOps.collectWeighted(weightedEdges)), m, m, kit.metrics.snapshot)
+    else {
       val p = 1.0 / math.max(2.0, math.log(m.toDouble) / math.log(2.0))
       val inSample =
         udf((u: Long, v: Long) => Priorities.toUnit(Priorities.edgeRank(u, v, seed + 13)) < p)
@@ -101,7 +95,9 @@ object KktMsf {
       val sampledCount = h.count()
 
       val fRes = AmpcMsf.run(spark, h, seed, searchBudget)
-      val light = FLightEdges.classify(spark, weightedEdges, fRes.msf, compDht, treeDht).persist()
+      val light = FLightEdges
+        .classify(spark, weightedEdges, fRes.msf, kit.dht[Long]("flight-comp"), kit.dht[HeavyLight]("flight-tree"))
+        .persist()
       val lightCount = light.count()
 
       val finalRes = AmpcMsf.run(spark, light, seed + 1, searchBudget)
@@ -110,8 +106,8 @@ object KktMsf {
         finalRes.msf,
         sampledCount,
         lightCount,
-        metrics.snapshot + fRes.metrics + finalRes.metrics,
+        kit.metrics.snapshot + fRes.metrics + finalRes.metrics,
       )
-    } finally { compDht.close(); treeDht.close(); metrics.close() }
+    }
   }
 }

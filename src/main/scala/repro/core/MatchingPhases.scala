@@ -14,7 +14,9 @@ import repro.graphs.GraphOps
   * prefix thresholds grow monotonically, the union of phase matchings is
   * exactly the global lexicographically-first matching for π — which the
   * tests verify against the sequential oracle and against
-  * [[AmpcMatching]].
+  * [[AmpcMatching]]. That greedy orders edges by rank as a signed `Long`,
+  * so π maps ranks to [0, 1) in signed order: a prefix of π is then a
+  * prefix of the greedy order.
   */
 object MatchingPhases {
 
@@ -31,7 +33,7 @@ object MatchingPhases {
       caching: Boolean = true,
       maxPhases: Int = 32,
   ): Result = {
-    val rankUnit = udf((u: Long, v: Long) => Priorities.toUnit(Priorities.edgeRank(u, v, seed)))
+    val rankUnit = udf((u: Long, v: Long) => Priorities.toUnit(Priorities.edgeRank(u, v, seed) ^ Long.MinValue))
     var g = edges.select("src", "dst").persist()
     val n = math.max(2L, GraphOps.vertices(g).count())
     val delta0 = maxDegree(g)
@@ -41,7 +43,8 @@ object MatchingPhases {
     var metrics = RunMetrics()
     var phase = 0
     var done = g.isEmpty
-    while (!done && phase < maxPhases) {
+    while (!done) {
+      require(phase < maxPhases, s"no maximal matching within $maxPhases phases")
       phase += 1
       val deltaI = maxDegree(g)
       val threshold =

@@ -7,16 +7,25 @@ import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
 import org.apache.spark.storage.StorageLevel
+import repro.ampc.{Dht, DhtRegistry, KvCache, Metrics}
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 import scala.reflect.ClassTag
 
-/** The pair-RDD plumbing the AMPC rounds and the MPC baselines share.
+/** The scope of one algorithm run, and the pair-RDD plumbing the AMPC
+  * rounds and the MPC baselines share.
+  *
+  * [[CoPartitioned.run]] opens a kit for one run. The kit holds the run's
+  * cost ledger, the DHT stores and caches it hands out, and the RDDs it
+  * keeps; when the run returns or throws, it drops the kept blocks, then
+  * closes every store, cache and the ledger. In AMPC a store lives for one
+  * run only (§2, and [19]), so no store outlives the scope. The kit is not
+  * serializable: a closure names the handles it uses, never the kit.
+  *
   * Every table is keyed by vertex under one `HashPartitioner`, so a lookup
   * of one table's rows in another is a narrow join (co-partitioning as in
   * Zaharia et al., NSDI 2012), and the only wide steps left are the
-  * shuffles an algorithm declares. One instance serves one run, and holds
-  * the RDDs it keeps until [[release]].
+  * shuffles an algorithm declares.
   *
   * At this scale Spark's own bookkeeping costs more than the work, so the
   * kit keeps out of three parts of it:
@@ -30,12 +39,40 @@ import scala.reflect.ClassTag
   *    `count` make it clean closures declared in its large `RDD` and
   *    `SparkContext` classes, which costs more than a small job.
   */
-private[repro] final class CoPartitioned(spark: SparkSession) {
+private[repro] final class CoPartitioned private (spark: SparkSession, val metrics: Metrics) {
   private val part = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
   // Spark picks Kryo for a shuffle of primitive keys and values, and Kryo
   // cannot start on Java 17 without `--add-opens`; name Java's instead.
   private val ser = new JavaSerializer(spark.sparkContext.getConf)
   private val held = mutable.ArrayBuffer.empty[RDD[_]]
+  private val stores = mutable.ArrayBuffer.empty[Dht[_]]
+  private val caches = mutable.ArrayBuffer.empty[KvCache[_]]
+
+  /** A DHT store for this run, charging [[metrics]]. */
+  def dht[V](name: String): Dht[V] = {
+    CoPartitioned.requireLocal(spark.sparkContext.master)
+    val d = DhtRegistry.create[V](name, metrics)
+    stores += d
+    d
+  }
+
+  /** A result cache for this run, charging [[metrics]]; when not
+    * `enabled` every probe misses.
+    */
+  def cache[V](name: String, enabled: Boolean): KvCache[V] = {
+    val c = KvCache.create[V](name, enabled, metrics)
+    caches += c
+    c
+  }
+
+  /** Drops the blocks of every RDD [[checkpoint]] or [[keep]] took (not
+    * through `RDD.unpersist`, which warns for each locally checkpointed one
+    * that its lineage is gone: here that is the intent), then closes every
+    * store, cache and the ledger.
+    */
+  private def close(): Unit =
+    try held.foreach(Unpersist(_))
+    finally { stores.foreach(_.close()); caches.foreach(_.close()); metrics.close() }
 
   /** `rdd`, locally checkpointed by the first action that computes it. */
   def checkpoint[T: ClassTag](rdd: RDD[T]): RDD[T] = stored(rdd)(b => held += b.localCheckpoint())
@@ -43,14 +80,8 @@ private[repro] final class CoPartitioned(spark: SparkSession) {
   /** `rdd`, cached by the first action that computes it. */
   def keep[T: ClassTag](rdd: RDD[T]): RDD[T] = stored(rdd)(b => held += b.persist(StorageLevel.MEMORY_AND_DISK))
 
-  /** [[checkpoint]] for an RDD a run returns: [[release]] leaves it. */
+  /** [[checkpoint]] for an RDD a run returns: the scope leaves it. */
   def lasting[T: ClassTag](rdd: RDD[T]): RDD[T] = stored(rdd)(_.localCheckpoint())
-
-  /** Drops the blocks of every RDD [[checkpoint]] or [[keep]] took. Not
-    * through `RDD.unpersist`, which warns for each locally checkpointed one
-    * that its lineage is gone: here that is the intent.
-    */
-  def release(): Unit = held.foreach(Unpersist(_))
 
   /** `rdd` read back from one array per partition, which `store` marks. */
   private def stored[T: ClassTag](rdd: RDD[T])(store: RDD[Array[T]] => Unit): RDD[T] = {
@@ -125,7 +156,7 @@ private[repro] final class CoPartitioned(spark: SparkSession) {
     * selects, in one Spark action.
     */
   def tally[T, R: ClassTag](rows: RDD[T])(length: T => Long, pick: T => Option[R]): (Long, Long, Array[R]) = {
-    val parts = CoPartitioned.run(rows) { it =>
+    val parts = CoPartitioned.job(rows) { it =>
       var (n, total) = (0L, 0L)
       val picked = Array.newBuilder[R]
       it.foreach { r => n += 1; total += length(r); picked ++= pick(r) }
@@ -135,23 +166,42 @@ private[repro] final class CoPartitioned(spark: SparkSession) {
   }
 
   /** Every row of `rdd`, in partition order, in one Spark action. */
-  def collect[T: ClassTag](rdd: RDD[T]): Array[T] = Array.concat(CoPartitioned.run(rdd)(_.toArray).toSeq: _*)
+  def collect[T: ClassTag](rdd: RDD[T]): Array[T] = Array.concat(CoPartitioned.job(rdd)(_.toArray).toSeq: _*)
 
   /** The number of rows of `rdd`, in one Spark action. */
-  def count[T](rdd: RDD[T]): Long = CoPartitioned.run(rdd)(_.size.toLong).sum
+  def count[T](rdd: RDD[T]): Long = CoPartitioned.job(rdd)(_.size.toLong).sum
 }
 
-private object CoPartitioned {
+private[repro] object CoPartitioned {
+
+  /** `body` with a kit whose ledger is tagged `tag`. Whether `body`
+    * returns or throws, the kit then drops the blocks it kept and closes
+    * every store, cache and the ledger it opened.
+    */
+  def run[R](spark: SparkSession, tag: String)(body: CoPartitioned => R): R = {
+    val kit = new CoPartitioned(spark, Metrics.fresh(tag))
+    try body(kit)
+    finally kit.close()
+  }
+
+  /** The DHT is one JVM's memory: under any master but `local` every
+    * executor would write and read its own empty store.
+    */
+  private[graphs] def requireLocal(master: String): Unit =
+    require(
+      master == "local" || master.startsWith("local["),
+      s"AMPC algorithms need a local master (the DHT lives in one JVM), got $master",
+    )
 
   /** `f` over every partition of `rdd`, in one Spark job. */
-  def run[T, U: ClassTag](rdd: RDD[T])(f: Iterator[T] => U): Array[U] = {
+  private def job[T, U: ClassTag](rdd: RDD[T])(f: Iterator[T] => U): Array[U] = {
     val out = new Array[U](rdd.partitions.length)
     rdd.sparkContext.runJob(rdd, (_: TaskContext, it: Iterator[T]) => f(it), out.indices, (i: Int, u: U) => out(i) = u)
     out
   }
 
   /** One (key, combined value) per distinct key of `it`. */
-  def combine[K, V, C](it: Iterator[(K, V)])(create: V => C, add: (C, V) => C): Iterator[(K, C)] = {
+  private def combine[K, V, C](it: Iterator[(K, V)])(create: V => C, add: (C, V) => C): Iterator[(K, C)] = {
     val acc = new java.util.HashMap[K, Any]
     it.foreach { case (k, v) =>
       val c = acc.get(k)
@@ -161,7 +211,7 @@ private object CoPartitioned {
   }
 
   /** `a`'s distinct values in ascending order (`a` is sorted in place). */
-  def sortedDistinct(a: Array[Long]): Array[Long] = {
+  private def sortedDistinct(a: Array[Long]): Array[Long] = {
     java.util.Arrays.sort(a)
     var n = 0
     var i = 0
@@ -175,7 +225,7 @@ private object CoPartitioned {
   /** `cols` of `df`, each row read by `read`, without the typed `Dataset`
     * path (its encoders and a closure Spark declares).
     */
-  def rows[T: ClassTag](df: DataFrame, cols: Column*)(read: InternalRow => T): RDD[T] = {
+  private def rows[T: ClassTag](df: DataFrame, cols: Column*)(read: InternalRow => T): RDD[T] = {
     val names = cols.mkString(", ")
     df.select(cols: _*).queryExecution.toRdd.mapPartitions(_.map { r =>
       require(!r.anyNull, s"null in $names")

@@ -10,16 +10,16 @@ import repro.ref.Reference
   * `repro.core.AmpcConnectivity`, which is itself tested against
   * union-find). The diameter is evaluation support, not a contribution of
   * the paper: like the authors — who report lower bounds `*` from prior
-  * work for TW/HL — we report a BFS double-sweep lower bound for the
-  * skewed analogs (exact for cycles and small graphs).
+  * work for TW/HL — we report a BFS double-sweep lower bound for every
+  * input.
   */
 object GraphStats {
 
   final case class Stats(
       n: Long,
       m: Long,
+      /** A double-sweep lower bound. */
       diameter: Long,
-      diameterExact: Boolean,
       numComponents: Long,
       largestComponent: Long,
   )
@@ -34,37 +34,19 @@ object GraphStats {
     (sizes.length.toLong, if (sizes.isEmpty) 0L else sizes.max)
   }
 
-  /** Double-sweep BFS diameter lower bound over a collected edge list.
-    * Exact when `exact` (all-pairs BFS) — tests and tiny graphs only.
-    */
+  /** Double-sweep BFS diameter lower bound over a collected edge list. */
   def diameterLowerBound(edges: Seq[(Long, Long)], sweeps: Int = 4): Long = {
     val vs = edges.flatMap(e => Seq(e._1, e._2)).distinct
     if (vs.isEmpty) 0L
     else Reference.doubleSweepDiameter(vs, edges, sweeps).toLong
   }
 
-  /** Assemble full stats; `labels` is a (id, component) DataFrame.
-    * `analyticDiameter` short-circuits BFS for families with a known
-    * diameter (cycles: ⌊k/2⌋).
-    */
-  def stats(
-      edges: DataFrame,
-      labels: DataFrame,
-      analyticDiameter: Option[Long] = None,
-      exactDiameter: Boolean = false,
-  ): Stats = {
+  /** Assemble full stats; `labels` is a (id, component) DataFrame. */
+  def stats(edges: DataFrame, labels: DataFrame): Stats = {
     val m = edges.count()
     val n = labels.count()
     val (numCc, largest) = componentStats(labels)
-    val (diam, exact) = analyticDiameter match {
-      case Some(d) => (d, true)
-      case None =>
-        val collected = GraphOps.collectEdges(edges.select("src", "dst"))
-        if (exactDiameter) {
-          val vs = collected.flatMap(e => Seq(e._1, e._2)).distinct
-          (Reference.exactDiameter(vs, collected).toLong, true)
-        } else (diameterLowerBound(collected), false)
-    }
-    Stats(n, m, diam, exact, numCc, largest)
+    val diam = diameterLowerBound(GraphOps.collectEdges(edges.select("src", "dst")))
+    Stats(n, m, diam, numCc, largest)
   }
 }

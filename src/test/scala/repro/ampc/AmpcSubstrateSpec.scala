@@ -190,18 +190,21 @@ class CostModelSpec extends AnyFunSuite {
   }
 }
 
-/** Every algorithm run closes the DHT stores it opens: a store left open
-  * holds its entries in `DhtRegistry` for the life of the JVM.
+/** Every algorithm run closes what it opens, whether it returns or
+  * throws: a DHT store, result cache or cost ledger left open holds its
+  * entries in its registry for the life of the JVM. Each test checks all
+  * three registries.
   */
 class DhtLifetimeSpec extends repro.SparkSpec {
   import repro.TestGraphs
   import repro.core._
+  import repro.mpc._
 
   private lazy val weighted =
     TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(TestGraphs.randomEdges(40, 120, 3), 3))
   private lazy val plain = TestGraphs.toDf(spark, TestGraphs.randomEdges(40, 120, 3))
 
-  private val runs: Seq[(String, () => Any)] = Seq(
+  private val dhtRuns: Seq[(String, () => Any)] = Seq(
     "KKT MSF above its local threshold" -> (() => KktMsf.run(spark, weighted, 3, searchBudget = 8, localThreshold = 16)),
     "AMPC MSF" -> (() => AmpcMsf.run(spark, weighted, 3)),
     "AMPC MIS" -> (() => AmpcMis.run(spark, plain, 3)),
@@ -210,10 +213,34 @@ class DhtLifetimeSpec extends repro.SparkSpec {
     "AMPC connectivity" -> (() => AmpcConnectivity.run(spark, plain, 3)),
   )
 
-  for ((name, run) <- runs)
-    test(s"$name closes every DHT store it opens") {
-      val before = DhtRegistry.stores.size
-      run()
-      assert(DhtRegistry.stores.size == before)
+  private val mpcRuns: Seq[(String, () => Any)] = Seq(
+    "MPC MIS" -> (() => MpcMis.run(spark, plain, 3, localThreshold = 0)),
+    "MPC MM" -> (() => MpcMatching.run(spark, plain, 3, localThreshold = 0)),
+    "MPC MSF" -> (() => MpcMsf.run(spark, weighted, 3, localThreshold = 0)),
+    "MPC connectivity" -> (() => LocalContractionCC.run(spark, plain, 3, localThreshold = 0)),
+  )
+
+  private val throwingRuns: Seq[(String, () => Any)] = Seq(
+    "AMPC MIS with a query budget of 0" -> (() => AmpcMis.run(spark, plain, 3, queryBudget = 0)),
+    "MPC MIS out of phases" -> (() => MpcMis.run(spark, plain, 3, localThreshold = 0, maxPhases = 1)),
+  )
+
+  private def open: (Int, Int, Int) = (DhtRegistry.stores.size, KvCache.caches.size, Metrics.registry.size)
+
+  private def closesAll(run: => Any): Unit = {
+    val before = open
+    run
+    assert(open == before, "(stores, caches, ledgers) open")
+  }
+
+  for ((name, run) <- dhtRuns)
+    test(s"$name closes every DHT store it opens")(closesAll(run()))
+
+  for ((name, run) <- mpcRuns)
+    test(s"$name closes its ledger")(closesAll(run()))
+
+  for ((name, run) <- throwingRuns)
+    test(s"$name closes what it opened when it throws") {
+      closesAll(intercept[IllegalArgumentException](run()))
     }
 }

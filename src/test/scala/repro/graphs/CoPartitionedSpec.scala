@@ -48,15 +48,16 @@ class CoPartitionedSpec extends SparkSpec {
     val add = (c: (Long, Long), v: Long) => (math.min(c._1, v), c._2 + 1)
     val merge = (a: (Long, Long), b: (Long, Long)) => (math.min(a._1, b._1), a._2 + b._2)
     check { layout =>
-      val kit = new CoPartitioned(spark)
-      val rows = keyed(layout)
-      val pairKeyed = rows.map { case (k, v) => ((k % 3, k), v) }
-      val combined = sorted(kit.combined(rows)(create, add, merge).collect()) == sorted(sparkCombined(rows)(create, add, merge).collect())
-      val reduced = sorted(kit.reduced(rows)(_ + _).collect()) == sorted(sparkCombined[Long, Long, Long](rows)(identity, _ + _, _ + _).collect())
-      val pairCombined =
-        sorted(kit.combined(pairKeyed)(create, add, merge).collect()) == sorted(sparkCombined(pairKeyed)(create, add, merge).collect())
-      val pairReduced = sorted(kit.reduced(pairKeyed)(math.max).collect()) == sorted(pairKeyed.reduceByKey(math.max).collect())
-      combined :| "combined" && reduced :| "reduced" && pairCombined :| "combined on pair keys" && pairReduced :| "reduced on pair keys"
+      CoPartitioned.run(spark, "combined") { kit =>
+        val rows = keyed(layout)
+        val pairKeyed = rows.map { case (k, v) => ((k % 3, k), v) }
+        val combined = sorted(kit.combined(rows)(create, add, merge).collect()) == sorted(sparkCombined(rows)(create, add, merge).collect())
+        val reduced = sorted(kit.reduced(rows)(_ + _).collect()) == sorted(sparkCombined[Long, Long, Long](rows)(identity, _ + _, _ + _).collect())
+        val pairCombined =
+          sorted(kit.combined(pairKeyed)(create, add, merge).collect()) == sorted(sparkCombined(pairKeyed)(create, add, merge).collect())
+        val pairReduced = sorted(kit.reduced(pairKeyed)(math.max).collect()) == sorted(pairKeyed.reduceByKey(math.max).collect())
+        combined :| "combined" && reduced :| "reduced" && pairCombined :| "combined on pair keys" && pairReduced :| "reduced on pair keys"
+      }
     }
   }
 
@@ -64,7 +65,7 @@ class CoPartitionedSpec extends SparkSpec {
   test("grouped equals a distinct groupByKey, ascending") {
     check { layout =>
       val rows = keyed(layout)
-      val ours = new CoPartitioned(spark).grouped(rows).collect().map { case (k, vs) => (k, vs.toSeq) }
+      val ours = CoPartitioned.run(spark, "grouped")(_.grouped(rows).collect().map { case (k, vs) => (k, vs.toSeq) })
       val theirs = rows.mapValues(Long.box).groupByKey().collect().map { case (k, vs) => (k, vs.map(Long.unbox).toSeq.distinct.sorted) }
       propBoolean(ours.toSeq.sortBy(_._1) == theirs.toSeq.sortBy(_._1))
     }
@@ -73,30 +74,44 @@ class CoPartitionedSpec extends SparkSpec {
   test("keep and checkpoint keep the shared partitioner and the rows, and release drops their blocks") {
     val sc = spark.sparkContext
     check { layout =>
-      val kit = new CoPartitioned(spark)
       val before = sc.getPersistentRDDs.keySet
-      val on = kit.shuffled(keyed(layout))
-      val kept = kit.keep(on)
-      val checkpointed = kit.checkpoint(on.mapValues(_ + 1))
-      val rows = sorted(on.collect())
-      val keptRows = sorted(kept.collect()) == rows
-      val checkpointedRows = sorted(checkpointed.collect()) == rows.map { case (k, v) => (k, v + 1) }
-      val partitioner = kept.partitioner == on.partitioner && checkpointed.partitioner == on.partitioner
-      val stored = sc.getPersistentRDDs.keySet.diff(before).size
-      kit.release()
+      val (inScope, stored) = CoPartitioned.run(spark, "keep") { kit =>
+        val on = kit.shuffled(keyed(layout))
+        val kept = kit.keep(on)
+        val checkpointed = kit.checkpoint(on.mapValues(_ + 1))
+        val rows = sorted(on.collect())
+        val keptRows = sorted(kept.collect()) == rows
+        val checkpointedRows = sorted(checkpointed.collect()) == rows.map { case (k, v) => (k, v + 1) }
+        val partitioner = kept.partitioner == on.partitioner && checkpointed.partitioner == on.partitioner
+        (keptRows :| "kept rows" && checkpointedRows :| "checkpointed rows" && partitioner :| "partitioner",
+          sc.getPersistentRDDs.keySet.diff(before).size)
+      }
       val released = sc.getPersistentRDDs.keySet.diff(before).isEmpty
-      keptRows :| "kept rows" && checkpointedRows :| "checkpointed rows" && partitioner :| "partitioner" &&
-        (stored == 2) :| s"$stored stored RDDs" && released :| "released"
+      inScope && (stored == 2) :| s"$stored stored RDDs" && released :| "released when the scope closes"
     }
   }
 
   test("the kit's collect and count equal RDD.collect and RDD.count") {
     check { layout =>
-      val kit = new CoPartitioned(spark)
-      val rows = keyed(layout)
-      val collected = kit.collect(rows).toSeq == rows.collect().toSeq
-      val counted = kit.count(rows) == rows.count()
-      collected :| "collect" && counted :| "count"
+      CoPartitioned.run(spark, "collect") { kit =>
+        val rows = keyed(layout)
+        val collected = kit.collect(rows).toSeq == rows.collect().toSeq
+        val counted = kit.count(rows) == rows.count()
+        collected :| "collect" && counted :| "count"
+      }
     }
   }
+
+  // The DHT is one JVM's memory, so the scope hands out a store only
+  // under a local master.
+  for (master <- Seq("local", "local[4]", "local[4,3]"))
+    test(s"a $master master is accepted") {
+      CoPartitioned.requireLocal(master)
+    }
+
+  for (master <- Seq("local-cluster[2,1,1024]", "spark://host:7077"))
+    test(s"a $master master is rejected") {
+      val e = intercept[IllegalArgumentException](CoPartitioned.requireLocal(master))
+      assert(e.getMessage.contains(master))
+    }
 }

@@ -181,22 +181,7 @@ class GraphStatsSpec extends SparkSpec {
       val l = Reference.connectedComponents(TestGraphs.vertices(collected), collected)
       l.toSeq.toDF("id", "component")
     }
-    val st = GraphStats.stats(edges, labels, analyticDiameter = Some(6))
+    val st = GraphStats.stats(edges, labels)
     assert(st.n == 12 && st.m == 12 && st.diameter == 6 && st.numComponents == 1 && st.largestComponent == 12)
   }
-
-  for (seed <- 1 to 3)
-    test(s"exact diameter flag vs double-sweep lower bound (seed $seed)") {
-      import spark.implicits._
-      val es = TestGraphs.connectedEdges(15, 8, seed)
-      val edges = TestGraphs.toDf(spark, es)
-      val labels = Reference
-        .connectedComponents(TestGraphs.vertices(es), es)
-        .toSeq
-        .toDF("id", "component")
-      val exact = GraphStats.stats(edges, labels, exactDiameter = true)
-      val lb = GraphStats.stats(edges, labels, exactDiameter = false)
-      assert(lb.diameter <= exact.diameter)
-      assert(exact.diameterExact && !lb.diameterExact)
-    }
 }
