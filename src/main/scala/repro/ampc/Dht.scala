@@ -41,10 +41,6 @@ final class Dht[V](val id: String, metrics: Metrics) extends Serializable {
     e._1.asInstanceOf[V]
   }
 
-  /** Lookup without cost accounting — tests and driver-side assembly only. */
-  def peek(key: Long): Option[V] =
-    Option(map.get(key)).map(_._1.asInstanceOf[V])
-
   def size: Int = map.size
 
   def close(): Unit = DhtRegistry.stores.close(id)

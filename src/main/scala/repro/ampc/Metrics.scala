@@ -28,17 +28,7 @@ final case class RunMetrics(
     kvWriteBytes: Long = 0,
     cacheHits: Long = 0,
     maxChainDepth: Long = 0,
-) {
-  def +(o: RunMetrics): RunMetrics = RunMetrics(
-    shuffles + o.shuffles,
-    shuffleBytes + o.shuffleBytes,
-    kvQueries + o.kvQueries,
-    kvReadBytes + o.kvReadBytes,
-    kvWriteBytes + o.kvWriteBytes,
-    cacheHits + o.cacheHits,
-    math.max(maxChainDepth, o.maxChainDepth),
-  )
-}
+)
 
 /** A mutable, thread-safe cost ledger for one algorithm run.
   *

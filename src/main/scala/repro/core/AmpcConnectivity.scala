@@ -2,14 +2,15 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.RunMetrics
-import repro.graphs.GraphOps
+import repro.graphs.CoPartitioned
 import repro.ref.Reference
 
-/** AMPC connected components (Theorem 1): run the MSF machinery over
+/** AMPC connected components (Theorem 1): run the MSF contraction over
   * random edge weights (§5.7 "we tried to apply our MSF algorithm over a
   * graph with random edge weights"), then label every vertex through the
   * contraction mapping with the component of its root in the contracted
-  * graph, which is solved in memory.
+  * graph, which is solved in memory. The MSF itself is never needed, so
+  * neither its search edges nor Kruskal's pass are computed.
   *
   * Labels are canonical: the component id is the minimum root id of the
   * component, so they compare directly against the union-find oracle.
@@ -28,18 +29,17 @@ object AmpcConnectivity {
       edges: DataFrame,
       seed: Long,
       searchBudget: Int = 64,
-  ): Result = {
+  ): Result = CoPartitioned.run(spark, "ampc-cc") { kit =>
     import spark.implicits._
-    val weighted = GraphOps.withRandomWeights(edges.select("src", "dst"), seed + 7)
-    val c = AmpcMsf.contract(spark, weighted, seed, searchBudget)
-    val contracted = c.result.contracted
+    val weighted = kit.pairs(edges).map { case (u, v) => (u, v, Priorities.toUnit(Priorities.edgeRank(u, v, seed + 7))) }
+    val c = AmpcMsf.contract(kit, weighted, seed, searchBudget)
 
     // Components of the contracted graph, solved on one machine. A root
     // with no contracted edge is a component of its own.
-    val linked = contracted.flatMap(e => Seq(e._1, e._2)).distinct
-    val rootComp = Reference.connectedComponents(linked, contracted.map(e => (e._1, e._2)))
+    val linked = c.contracted.flatMap(e => Seq(e._1, e._2)).distinct
+    val rootComp = Reference.connectedComponents(linked, c.contracted.map(e => (e._1, e._2)))
     val labels = c.mapping.map { case (v, root) => (v, rootComp.getOrElse(root, root)) }.toDF("id", "component")
     val num = rootComp.values.toSet.size + (c.roots - linked.size)
-    Result(labels, num, c.result.metrics)
+    Result(labels, num, kit.metrics.snapshot)
   }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{Dht, KvCache, Metrics, RunMetrics}
 import repro.graphs.{CoPartitioned, GraphOps}
@@ -43,14 +44,29 @@ object AmpcMatching {
       caching: Boolean = true,
       queryBudget: Long = Long.MaxValue,
   ): Result = CoPartitioned.run(spark, "ampc-mm") { kit =>
+    val (matching, passes) = matched(kit, kit.adjacency(edges), seed, caching, queryBudget)
+    Result(matching, passes, kit.metrics.snapshot)
+  }
+
+  /** One round on `kit` over adjacency rows (a vertex and its neighbors):
+    * the lexicographically-first matching of the graph they list, and the
+    * number of query passes.
+    */
+  private[core] def matched(
+      kit: CoPartitioned,
+      adjacency: RDD[(Long, Array[Long])],
+      seed: Long,
+      caching: Boolean,
+      queryBudget: Long,
+  ): (Set[(Long, Long)], Int) = {
     val metrics = kit.metrics
     val dht = kit.dht[EdgeAdj]("mm-adj")
     // Per-vertex caches (the §5.4 caching optimization): matched partner,
     // and "finished up to rank R" watermark.
     val matchedCache = kit.cache[Long]("mm-matched", caching)
     val finishedCache = kit.cache[Long]("mm-finished", caching)
-    // The single shuffle: group incident edges per vertex, sorted by rank.
-    val adj = kit.keep(kit.adjacency(edges).mapPartitions(
+    // Each vertex's incident edges by rank; grouping them was the single shuffle.
+    val adj = kit.keep(adjacency.mapPartitions(
       _.map { case (v, ns) =>
         val sorted = ns.map(u => (Priorities.edgeRank(v, u, seed), u)).sortBy { case (r, u) => (r, u) }
         (v, EdgeAdj(sorted.map(_._1), sorted.map(_._2)))
@@ -65,8 +81,7 @@ object AmpcMatching {
     val (answers, passes) = AmpcRound.resolve(kit, adj, queryBudget) { (v, a, b) =>
       MatchingProcess.vertexProcess(v, a, seed, dht, matchedCache, finishedCache, metrics, b)
     }
-    val matched = answers.collect { case (v, Some(p)) => (math.min(v, p), math.max(v, p)) }
-    Result(matched.toSet, passes, metrics.snapshot)
+    (answers.collect { case (v, Some(p)) => (math.min(v, p), math.max(v, p)) }.toSet, passes)
   }
 }
 

@@ -50,7 +50,9 @@ final case class SearchOut(kind: Int, a: Long, b: Long, w: Double)
   * four Spark jobs: steps 1, 2–3 (the parents are written in the job that
   * combines them), 4–5 (the mapping is a map over the DHT, so the engine
   * sees four shuffles for the five declared), and the collect of the
-  * searches' MSF edges.
+  * searches' MSF edges. Steps 1–5 (`contract`) and step 6 (`forest`) run
+  * on the caller's kit, so `KktMsf` runs both inside its own scope, and
+  * `AmpcConnectivity` runs only the first.
   *
   * The paper found one search round (without ternarization) shrinks the
   * graph enough in practice; `Ternarize` + this routine compose into the
@@ -69,11 +71,17 @@ object AmpcMsf {
       metrics: RunMetrics,
   )
 
-  /** A run's [[Result]], with its mapping as the pair RDD the result's
-    * DataFrame reads, and the number of roots (the vertices no search
-    * gave a parent).
+  /** A contraction on a kit: the mapping (vertex → root), the contracted
+    * rows as in [[Result]], the number of input rows and of roots (the
+    * vertices no search gave a parent), and the kept search output.
     */
-  private[core] final case class Contraction(result: Result, mapping: RDD[(Long, Long)], roots: Long)
+  private[core] final case class Contraction(
+      mapping: RDD[(Long, Long)],
+      contracted: Seq[(Long, Long, Long, Long, Double)],
+      edges: Long,
+      roots: Long,
+      searches: RDD[SearchOut],
+  )
 
   /** One incident edge of a vertex as shuffled: the neighbor, the weight,
     * and whether the input row named this vertex as its src. Primitive
@@ -102,88 +110,92 @@ object AmpcMsf {
       weightedEdges: DataFrame,
       seed: Long,
       searchBudget: Int = 64,
-  ): Result = contract(spark, weightedEdges, seed, searchBudget).result
+  ): Result = CoPartitioned.run(spark, "ampc-msf") { kit =>
+    import spark.implicits._
+    val c = contract(kit, kit.triples(weightedEdges), seed, searchBudget)
+    val nContracted = c.contracted.flatMap(e => Seq(e._1, e._2)).distinct.size.toLong
+    Result(forest(kit, c), c.mapping.toDF("id", "root"), c.contracted, nContracted, kit.metrics.snapshot)
+  }
 
-  private[core] def contract(spark: SparkSession, weightedEdges: DataFrame, seed: Long, searchBudget: Int): Contraction =
-    CoPartitioned.run(spark, "ampc-msf") { kit =>
-      import spark.implicits._
-      val metrics = kit.metrics
-      val adjDht = kit.dht[WeightAdj]("msf-adj")
-      val parentDht = kit.dht[Long]("msf-parent")
-      val rootCache = kit.cache[Long]("msf-root", enabled = true)
-      // Part 1: SortGraph (shuffle 1) + KV-Write. The write counts the
-      // vertices and sums their degrees to 2m.
-      val rows = kit.keep(kit.shuffled(kit.triples(weightedEdges).flatMap { case (u, v, w) =>
-        Iterator((u, Arc(v, w, out = true)), (v, Arc(u, w, out = false)))
-      }).mapPartitions(
-        { it =>
-          val arcs = mutable.LongMap.empty[mutable.ArrayBuffer[Arc]]
-          it.foreach { case (v, a) => arcs.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += a }
-          arcs.iterator.map { case (v, as) =>
-            val sorted = as.sortBy(a => (a.w, math.min(v, a.to), math.max(v, a.to)))
-            (v, Incident(WeightAdj(sorted.map(_.to).toArray, sorted.map(_.w).toArray), sorted.map(_.out).toArray))
-          }
-        },
-        preservesPartitioning = true,
-      ))
-      val (nVertices, twoM, _) = AmpcRound.write(kit, rows.mapValues(_.adj), adjDht, 16)(_.length)
-      val m = twoM / 2
-      metrics.shuffle(2 * m * GraphOps.WeightedEdgeBytes)
+  /** Steps 1–5 on `kit` over (src, dst, weight) rows. */
+  private[core] def contract(kit: CoPartitioned, triples: RDD[(Long, Long, Double)], seed: Long, searchBudget: Int): Contraction = {
+    val metrics = kit.metrics
+    val adjDht = kit.dht[WeightAdj]("msf-adj")
+    val parentDht = kit.dht[Long]("msf-parent")
+    val rootCache = kit.cache[Long]("msf-root", enabled = true)
+    // Part 1: SortGraph (shuffle 1) + KV-Write. The write counts the
+    // vertices and sums their degrees to 2m.
+    val rows = kit.keep(kit.shuffled(triples.flatMap { case (u, v, w) =>
+      Iterator((u, Arc(v, w, out = true)), (v, Arc(u, w, out = false)))
+    }).mapPartitions(
+      { it =>
+        val arcs = mutable.LongMap.empty[mutable.ArrayBuffer[Arc]]
+        it.foreach { case (v, a) => arcs.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += a }
+        arcs.iterator.map { case (v, as) =>
+          val sorted = as.sortBy(a => (a.w, math.min(v, a.to), math.max(v, a.to)))
+          (v, Incident(WeightAdj(sorted.map(_.to).toArray, sorted.map(_.w).toArray), sorted.map(_.out).toArray))
+        }
+      },
+      preservesPartitioning = true,
+    ))
+    val (nVertices, twoM, _) = AmpcRound.write(kit, rows.mapValues(_.adj), adjDht, 16)(_.length)
+    val m = twoM / 2
+    metrics.shuffle(2 * m * GraphOps.WeightedEdgeBytes)
 
-      // Part 2: PrimSearch from every vertex.
-      val budget = searchBudget
-      val searchOut = kit.keep(rows.mapPartitions(_.flatMap { case (v, r) =>
-        TruncatedPrim.search(v, r.adj, seed, adjDht, metrics, budget)
-      }))
+    // Part 2: PrimSearch from every vertex.
+    val budget = searchBudget
+    val searchOut = kit.keep(rows.mapPartitions(_.flatMap { case (v, r) =>
+      TruncatedPrim.search(v, r.adj, seed, adjDht, metrics, budget)
+    }))
 
-      // Shuffle 2: combine visit tuples per visited vertex on the map side,
-      // keeping the highest-priority (lowest-rank) visitor as its parent
-      // and counting the visits, then write the parents in the same job.
-      // (The MSF edges emitted by the searches ride along in the same round.)
-      def higher(x: Long, y: Long): Long =
-        if (Priorities.precedes(Priorities.vertexRank(x, seed), x, Priorities.vertexRank(y, seed), y)) x else y
-      val parents = kit.combined[Long, Long, (Long, Long)](searchOut.flatMap(o => Option.when(o.kind == 1)((o.a, o.b))))(
-        (_, 1L), (c, b) => (higher(c._1, b), c._2 + 1), (c, d) => (higher(c._1, d._1), c._2 + d._2))
-      val (children, visits, _) = kit.tally(parents.map { case (c, (p, k)) => parentDht.put(c, p, 16); k })(identity, _ => None)
-      metrics.shuffle(visits * GraphOps.EdgeBytes)
+    // Shuffle 2: combine visit tuples per visited vertex on the map side,
+    // keeping the highest-priority (lowest-rank) visitor as its parent
+    // and counting the visits, then write the parents in the same job.
+    // (The MSF edges emitted by the searches ride along in the same round.)
+    def higher(x: Long, y: Long): Long =
+      if (Priorities.precedes(Priorities.vertexRank(x, seed), x, Priorities.vertexRank(y, seed), y)) x else y
+    val parents = kit.combined[Long, Long, (Long, Long)](searchOut.flatMap(o => Option.when(o.kind == 1)((o.a, o.b))))(
+      (_, 1L), (c, b) => (higher(c._1, b), c._2 + 1), (c, d) => (higher(c._1, d._1), c._2 + d._2))
+    val (children, visits, _) = kit.tally(parents.map { case (c, (p, k)) => parentDht.put(c, p, 16); k })(identity, _ => None)
+    metrics.shuffle(visits * GraphOps.EdgeBytes)
 
-      // Shuffle 3: pointer-jump construction — materialize vertex → root.
-      // The contraction's job computes and checkpoints it, so the mapping
-      // keeps no lineage back to the DHT, which the scope closes.
-      metrics.shuffle(nVertices * GraphOps.EdgeBytes)
-      val mapping = kit.lasting(rows.mapPartitions(
-        _.map { case (v, _) => (v, PointerJump.root(v, parentDht, rootCache, metrics)) }, preservesPartitioning = true))
+    // Shuffle 3: pointer-jump construction — materialize vertex → root.
+    // The contraction's job computes and checkpoints it, so the mapping
+    // keeps no lineage back to the DHT, which the scope closes.
+    metrics.shuffle(nVertices * GraphOps.EdgeBytes)
+    val mapping = kit.lasting(rows.mapPartitions(
+      _.map { case (v, _) => (v, PointerJump.root(v, parentDht, rootCache, metrics)) }, preservesPartitioning = true))
 
-      // Shuffles 4–5: contract the graph through the mapping. Each input
-      // row leaves the row of its src with the src's root (a narrow
-      // lookup), moves to its dst, takes the dst's root (narrow again),
-      // and the lightest row per supervertex pair is kept.
-      metrics.shuffle(m * GraphOps.WeightedEdgeBytes)
-      val atDst = kit.shuffled(kit.lookup(rows, mapping) { (v, r: Incident, root: Option[Long]) =>
-        r.out.indices.iterator.collect { case i if r.out(i) => (r.adj.nbrs(i), Relabeled(v, r.adj.nbrs(i), r.adj.ws(i), root.get)) }
-      })
-      metrics.shuffle(m * GraphOps.WeightedEdgeBytes / 4)
-      val crossing = kit.lookup(atDst, mapping) { (_, e: Relabeled, root: Option[Long]) =>
-        val rv = root.get
-        Option.when(e.root != rv)(((math.min(e.root, rv), math.max(e.root, rv)), e))
-      }
-      val contracted = kit.collect(kit.reduced(crossing)(lighter)).toSeq.map { case ((cu, cv), e) => (cu, cv, e.src, e.dst, e.w) }
-
-      // In-memory MSF on the contracted graph: Kruskal keyed by roots,
-      // emitting the original endpoints of each chosen edge.
-      val uf = new Reference.UnionFind()
-      val extra = contracted
-        .sortBy { case (_, _, s, d, w) => (w, math.min(s, d), math.max(s, d)) }
-        .filter { case (cu, cv, _, _, _) => uf.union(cu, cv) }
-        .map { case (_, _, s, d, w) => (math.min(s, d), math.max(s, d), w) }
-
-      val primEdges = kit.collect(searchOut.flatMap(e => Option.when(e.kind == 0)((e.a, e.b, e.w)))).toSeq
-
-      val msf = (primEdges ++ extra).distinct
-      val nContracted = contracted.flatMap(c => Seq(c._1, c._2)).distinct.size.toLong
-      val result = Result(msf, mapping.toDF("id", "root"), contracted, nContracted, metrics.snapshot)
-      Contraction(result, mapping, nVertices - children)
+    // Shuffles 4–5: contract the graph through the mapping. Each input
+    // row leaves the row of its src with the src's root (a narrow
+    // lookup), moves to its dst, takes the dst's root (narrow again),
+    // and the lightest row per supervertex pair is kept.
+    metrics.shuffle(m * GraphOps.WeightedEdgeBytes)
+    val atDst = kit.shuffled(kit.lookup(rows, mapping) { (v, r: Incident, root: Option[Long]) =>
+      r.out.indices.iterator.collect { case i if r.out(i) => (r.adj.nbrs(i), Relabeled(v, r.adj.nbrs(i), r.adj.ws(i), root.get)) }
+    })
+    metrics.shuffle(m * GraphOps.WeightedEdgeBytes / 4)
+    val crossing = kit.lookup(atDst, mapping) { (_, e: Relabeled, root: Option[Long]) =>
+      val rv = root.get
+      Option.when(e.root != rv)(((math.min(e.root, rv), math.max(e.root, rv)), e))
     }
+    val contracted = kit.collect(kit.reduced(crossing)(lighter)).toSeq.map { case ((cu, cv), e) => (cu, cv, e.src, e.dst, e.w) }
+    Contraction(mapping, contracted, m, nVertices - children, searchOut)
+  }
+
+  /** Step 6: the MSF of a contraction's input, with original endpoints —
+    * the searches' edges and Kruskal's on the contracted graph, keyed by
+    * roots.
+    */
+  private[core] def forest(kit: CoPartitioned, c: Contraction): Seq[(Long, Long, Double)] = {
+    val uf = new Reference.UnionFind()
+    val extra = c.contracted
+      .sortBy { case (_, _, s, d, w) => (w, math.min(s, d), math.max(s, d)) }
+      .filter { case (cu, cv, _, _, _) => uf.union(cu, cv) }
+      .map { case (_, _, s, d, w) => (math.min(s, d), math.max(s, d), w) }
+    val primEdges = kit.collect(c.searches.flatMap(e => Option.when(e.kind == 0)((e.a, e.b, e.w)))).toSeq
+    (primEdges ++ extra).distinct
+  }
 }
 
 /** The truncated Prim local search of Algorithm 1. */

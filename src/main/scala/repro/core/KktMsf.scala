@@ -1,8 +1,9 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.ampc.{Dht, RunMetrics}
-import repro.graphs.{CoPartitioned, GraphOps}
+import repro.ampc.RunMetrics
+import repro.graphs.CoPartitioned
 import repro.ref.Reference
 import repro.trees.{HeavyLight, RootedTree}
 
@@ -20,19 +21,17 @@ import repro.trees.{HeavyLight, RootedTree}
   */
 object FLightEdges {
 
-  /** Returns G's F-light edges as a DataFrame (src, dst, weight). It
-    * writes F's per-tree structures into `compDht` and `treeDht`, which the
-    * returned DataFrame reads: both must stay open while the edges are in
-    * use.
+  /** The F-light rows of `triples`. F's per-tree structures go into two
+    * stores of `kit`, which the returned RDD reads, so it is valid inside
+    * the kit's scope only.
     */
-  def classify(
-      spark: SparkSession,
-      graphEdges: DataFrame,
+  private[core] def classify(
+      kit: CoPartitioned,
+      triples: RDD[(Long, Long, Double)],
       forest: Seq[(Long, Long, Double)],
-      compDht: Dht[Long],
-      treeDht: Dht[HeavyLight],
-  ): DataFrame = {
-    import spark.implicits._
+  ): RDD[(Long, Long, Double)] = {
+    val compDht = kit.dht[Long]("flight-comp")
+    val treeDht = kit.dht[HeavyLight]("flight-tree")
     // Line 1–2: components of F, one rooted+decomposed structure each.
     val fVertices = forest.flatMap(e => Seq(e._1, e._2)).distinct
     val comp = Reference.connectedComponents(fVertices, forest.map(e => (e._1, e._2)))
@@ -42,22 +41,13 @@ object FLightEdges {
       treeDht.put(c, new HeavyLight(tree), 64 * tree.n + 8)
     }
 
-    graphEdges
-      .select("src", "dst", "weight")
-      .as[(Long, Long, Double)]
-      .mapPartitions { it =>
-        it.filter { case (u, v, w) =>
-          (compDht.get(u), compDht.get(v)) match {
-            case (Some(cu), Some(cv)) if cu == cv =>
-              treeDht.get(cu) match {
-                case Some(hld) => w <= hld.pathMaxEdgeIds(u, v)
-                case None      => true
-              }
-            case _ => true // different components (or not in F at all)
-          }
-        }
+    triples.filter { case (u, v, w) =>
+      (compDht.get(u), compDht.get(v)) match {
+        // Every component of F has a tree, written above.
+        case (Some(cu), Some(cv)) if cu == cv => w <= treeDht.require(cu).pathMaxEdgeIds(u, v)
+        case _                                => true // different components (or not in F at all)
       }
-      .toDF("src", "dst", "weight")
+    }
   }
 }
 
@@ -67,6 +57,10 @@ object FLightEdges {
   * Sample each edge with probability 1/log n, compute the MSF F of the
   * sample, keep only the F-light edges of G (O(n log n) of them in
   * expectation, Lemma 3.9), and compute the MSF of F ∪ E_light.
+  *
+  * One kit scope holds both [[AmpcMsf]] contractions and the F-light
+  * stores. Below `localThreshold` edges the MSF is Kruskal's on the
+  * driver. Both paths return canonical (min, max, weight) edges.
   */
 object KktMsf {
 
@@ -84,30 +78,17 @@ object KktMsf {
       searchBudget: Int = 64,
       localThreshold: Long = 512,
   ): Result = CoPartitioned.run(spark, "kkt-msf") { kit =>
-    import org.apache.spark.sql.functions._
-    val m = weightedEdges.count()
-    if (m <= localThreshold) Result(Reference.kruskal(GraphOps.collectWeighted(weightedEdges)), m, m, kit.metrics.snapshot)
-    else {
+    val edges = kit.keep(kit.triples(weightedEdges))
+    val m = kit.count(edges)
+    if (m <= localThreshold) {
+      val msf = Reference.kruskal(kit.collect(edges).toSeq).map { case (u, v, w) => (math.min(u, v), math.max(u, v), w) }
+      Result(msf, m, m, kit.metrics.snapshot)
+    } else {
       val p = 1.0 / math.max(2.0, math.log(m.toDouble) / math.log(2.0))
-      val inSample =
-        udf((u: Long, v: Long) => Priorities.toUnit(Priorities.edgeRank(u, v, seed + 13)) < p)
-      val h = weightedEdges.where(inSample(col("src"), col("dst")))
-      val sampledCount = h.count()
-
-      val fRes = AmpcMsf.run(spark, h, seed, searchBudget)
-      val light = FLightEdges
-        .classify(spark, weightedEdges, fRes.msf, kit.dht[Long]("flight-comp"), kit.dht[HeavyLight]("flight-tree"))
-        .persist()
-      val lightCount = light.count()
-
-      val finalRes = AmpcMsf.run(spark, light, seed + 1, searchBudget)
-      light.unpersist()
-      Result(
-        finalRes.msf,
-        sampledCount,
-        lightCount,
-        kit.metrics.snapshot + fRes.metrics + finalRes.metrics,
-      )
+      val sample = edges.filter { case (u, v, _) => Priorities.toUnit(Priorities.edgeRank(u, v, seed + 13)) < p }
+      val f = AmpcMsf.contract(kit, sample, seed, searchBudget)
+      val light = AmpcMsf.contract(kit, FLightEdges.classify(kit, edges, AmpcMsf.forest(kit, f)), seed + 1, searchBudget)
+      Result(AmpcMsf.forest(kit, light), f.edges, light.edges, kit.metrics.snapshot)
     }
   }
 }

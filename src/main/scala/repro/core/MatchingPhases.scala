@@ -1,9 +1,9 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.ampc.RunMetrics
-import repro.graphs.GraphOps
+import repro.graphs.{CoPartitioned, GraphOps}
 
 /** Algorithm 4 — the O(log log Δ)-round, O~(m)-space AMPC maximal
   * matching (Theorem 2 part 1).
@@ -17,6 +17,10 @@ import repro.graphs.GraphOps
   * [[AmpcMatching]]. That greedy orders edges by rank as a signed `Long`,
   * so π maps ranks to [0, 1) in signed order: a prefix of π is then a
   * prefix of the greedy order.
+  *
+  * The whole run is one kit scope. G_i is a checkpointed adjacency RDD;
+  * each phase sizes it in one action, runs one [[AmpcMatching]] round on
+  * its prefix, and drops the matched vertices by a narrow map.
   */
 object MatchingPhases {
 
@@ -30,55 +34,53 @@ object MatchingPhases {
       spark: SparkSession,
       edges: DataFrame,
       seed: Long,
-      caching: Boolean = true,
       maxPhases: Int = 32,
-  ): Result = {
-    val rankUnit = udf((u: Long, v: Long) => Priorities.toUnit(Priorities.edgeRank(u, v, seed) ^ Long.MinValue))
-    var g = edges.select("src", "dst").persist()
-    val n = math.max(2L, GraphOps.vertices(g).count())
-    val delta0 = maxDegree(g)
-    val degreeFloor = 10.0 * math.log(n.toDouble)
+  ): Result = CoPartitioned.run(spark, "matching-phases") { kit =>
+    var g = kit.checkpoint(kit.adjacency(edges))
+    var (vertices, twoM, degree) = sizes(kit, g)
+    val delta0 = degree
+    val degreeFloor = 10.0 * math.log(math.max(2L, vertices).toDouble)
 
     var matched = Set.empty[(Long, Long)]
-    var metrics = RunMetrics()
     var phase = 0
-    var done = g.isEmpty
-    while (!done) {
+    while (twoM > 0) {
       require(phase < maxPhases, s"no maximal matching within $maxPhases phases")
       phase += 1
-      val deltaI = maxDegree(g)
       val threshold =
-        if (deltaI > degreeFloor && delta0 > 1)
+        if (degree > degreeFloor && delta0 > 1)
           math.pow(delta0.toDouble, -math.pow(0.5, phase.toDouble))
         else 1.0
       val h =
         if (threshold >= 1.0) g
-        else g.where(rankUnit(col("src"), col("dst")) <= threshold)
+        else g.mapPartitions(_.flatMap { case (v, ns) => row(v, ns.filter(u => rankUnit(u, v, seed) <= threshold)) }, preservesPartitioning = true)
 
-      val mi = AmpcMatching.run(spark, h, seed, caching)
-      metrics = metrics + mi.metrics
-      matched = matched ++ mi.matching
+      val (mi, _) = AmpcMatching.matched(kit, h, seed, caching = true, queryBudget = Long.MaxValue)
+      matched ++= mi
 
-      if (threshold >= 1.0) done = true
+      if (threshold >= 1.0) twoM = 0 // H_i = G_i: the matching is maximal
       else {
-        // Remove matched vertices and their incident edges (one shuffle).
-        import spark.implicits._
-        val mv = mi.matching.toSeq.flatMap { case (a, b) => Seq(a, b) }.distinct.toDF("id")
-        metrics = metrics + RunMetrics(shuffles = 1, shuffleBytes = g.count() * GraphOps.EdgeBytes)
-        val next = g
-          .join(mv.withColumnRenamed("id", "src"), Seq("src"), "left_anti")
-          .join(mv.withColumnRenamed("id", "dst"), Seq("dst"), "left_anti")
-          .select("src", "dst")
-          .localCheckpoint() // truncate per-phase lineage
-        g.unpersist()
-        g = next
-        done = g.isEmpty
+        // Remove matched vertices and their incident edges: Algorithm 4's
+        // one shuffle, here a narrow map over the matched set.
+        kit.metrics.shuffle(twoM / 2 * GraphOps.EdgeBytes)
+        val gone = mi.flatMap { case (a, b) => Seq(a, b) }
+        g = kit.checkpoint(g.mapPartitions(
+          _.flatMap { case (v, ns) => if (gone(v)) None else row(v, ns.filterNot(gone)) }, preservesPartitioning = true))
+        sizes(kit, g) match { case (_, m2, d) => twoM = m2; degree = d }
       }
     }
-    Result(matched, phase, metrics)
+    Result(matched, phase, kit.metrics.snapshot)
   }
 
-  private def maxDegree(g: DataFrame): Long =
-    if (g.isEmpty) 0L
-    else GraphOps.degrees(g).agg(max("degree")).collect()(0).getLong(0)
+  /** π(uv) in [0, 1), in the greedy's signed order of edge ranks. */
+  private def rankUnit(u: Long, v: Long, seed: Long): Double =
+    Priorities.toUnit(Priorities.edgeRank(u, v, seed) ^ Long.MinValue)
+
+  /** `v`'s adjacency row, unless no neighbor is left. */
+  private def row(v: Long, ns: Array[Long]): Option[(Long, Array[Long])] = Option.when(ns.nonEmpty)((v, ns))
+
+  /** `g`'s vertices, summed degrees (2m) and maximum degree, in one Spark action. */
+  private def sizes(kit: CoPartitioned, g: RDD[(Long, Array[Long])]): (Long, Long, Int) = {
+    val parts = kit.perPartition(g)(_.foldLeft((0L, 0L, 0)) { case ((n, s, d), (_, ns)) => (n + 1, s + ns.length, math.max(d, ns.length)) })
+    (parts.map(_._1).sum, parts.map(_._2).sum, parts.map(_._3).maxOption.getOrElse(0))
+  }
 }

@@ -165,6 +165,9 @@ private[repro] final class CoPartitioned private (spark: SparkSession, val metri
     (parts.map(_._1).sum, parts.map(_._2).sum, parts.flatMap(_._3))
   }
 
+  /** `f` over every partition of `rdd`, in one Spark action. */
+  def perPartition[T, U: ClassTag](rdd: RDD[T])(f: Iterator[T] => U): Array[U] = CoPartitioned.job(rdd)(f)
+
   /** Every row of `rdd`, in partition order, in one Spark action. */
   def collect[T: ClassTag](rdd: RDD[T]): Array[T] = Array.concat(CoPartitioned.job(rdd)(_.toArray).toSeq: _*)
 

@@ -2,7 +2,6 @@ package repro.graphs
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.Priorities
 
 /** Relational graph plumbing shared by every algorithm.
   *
@@ -53,14 +52,6 @@ object GraphOps {
       .join(deg.withColumnRenamed("id", "src").withColumnRenamed("degree", "ds"), "src")
       .join(deg.withColumnRenamed("id", "dst").withColumnRenamed("degree", "dd"), "dst")
       .select(col("src"), col("dst"), (col("ds") + col("dd")).cast("double") as "weight")
-  }
-
-  /** Uniform random weights in [0, 1), deterministic in (edge, seed) —
-    * used to turn the MSF algorithm into a connectivity algorithm (§5.7).
-    */
-  def withRandomWeights(edges: DataFrame, seed: Long): DataFrame = {
-    val w = udf((u: Long, v: Long) => Priorities.toUnit(Priorities.edgeRank(u, v, seed)))
-    edges.select(col("src"), col("dst"), w(col("src"), col("dst")) as "weight")
   }
 
   /** Rough serialized size of one (src, dst) row — used for shuffle-byte

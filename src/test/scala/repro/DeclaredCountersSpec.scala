@@ -1,6 +1,6 @@
 package repro
 
-import repro.core.{AmpcMatching, AmpcMis, AmpcMsf, AmpcTwoCycle}
+import repro.core.{AmpcMatching, AmpcMis, AmpcMsf, AmpcTwoCycle, KktMsf, MatchingPhases}
 import repro.graphs.{GraphGen, GraphOps}
 import repro.mpc.{MpcMatching, MpcMis, MpcMsf}
 
@@ -38,6 +38,27 @@ class DeclaredCountersSpec extends SparkSpec {
       val df = TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(edges(seed), seed))
       val res = AmpcMsf.run(spark, df, seed, searchBudget = 8).metrics
       assert(res.shuffles == 5 && res.shuffleBytes == msfBytes(seed))
+    }
+
+  // (phases, shuffles, shuffle bytes, KV write bytes), recorded on the phase
+  // loop that ran one `AmpcMatching.run` per phase on DataFrames.
+  private val phased = Map(1L -> (2, 3L, 20992L, 11512L), 2L -> (2, 3L, 21600L, 12160L), 3L -> (2, 3L, 20288L, 10792L))
+  for (seed <- seeds)
+    test(s"MatchingPhases declares a round per phase and a prune between phases (seed $seed)") {
+      val res = MatchingPhases.run(spark, TestGraphs.toDf(spark, TestGraphs.starAndPathPlus(seed)), seed)
+      val m = res.metrics
+      assert((res.phases, m.shuffles, m.shuffleBytes, m.kvWriteBytes) == phased(seed))
+    }
+
+  // (shuffles, shuffle bytes, KV write bytes) of the two MSF contractions and
+  // the F-light stores, recorded on the run that summed the ledgers of two
+  // nested `AmpcMsf.run` scopes.
+  private val kkt = Map(1L -> (10L, 12936L, 7864L), 2L -> (10L, 11800L, 6832L), 3L -> (10L, 12130L, 7104L))
+  for (seed <- seeds)
+    test(s"KKT MSF declares two MSF contractions of fixed bytes (seed $seed)") {
+      val df = TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(edges(seed), seed))
+      val m = KktMsf.run(spark, df, seed, searchBudget = 8, localThreshold = 16).metrics
+      assert((m.shuffles, m.shuffleBytes, m.kvWriteBytes) == kkt(seed))
     }
 
   private val mpcBytes = Map(1L -> (7040L, 10752L), 2L -> (7616L, 9344L), 3L -> (7504L, 7584L))

@@ -3,7 +3,7 @@ package repro
 import org.apache.spark.ListenerDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart, SparkListenerStageCompleted, SparkListenerTaskEnd}
 import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
-import repro.core.{AmpcConnectivity, AmpcMatching, AmpcMis, AmpcMsf, AmpcTwoCycle}
+import repro.core.{AmpcConnectivity, AmpcMatching, AmpcMis, AmpcMsf, AmpcTwoCycle, KktMsf, MatchingPhases}
 import repro.graphs.GraphGen
 import repro.mpc.{LocalContractionCC, MpcMatching, MpcMis, MpcMsf}
 import scala.collection.mutable
@@ -112,6 +112,21 @@ class SparkJobCountSpec extends SparkSpec {
   test("AMPC connectivity runs at most 4 Spark jobs") {
     val cc = jobsOf(AmpcConnectivity.run(spark, TestGraphs.toDf(spark, edges), 4))
     assert(cc <= 4, s"connectivity $cc jobs")
+  }
+
+  // One action sizes the input and one each pruned graph, and each phase's
+  // round runs two.
+  test("MatchingPhases runs at most 3 Spark jobs per phase plus 1") {
+    val run = observe(MatchingPhases.run(spark, TestGraphs.toDf(spark, TestGraphs.starAndPathPlus(4)), 4))
+    assert(run.result.phases > 1 && run.jobs <= 3 * run.result.phases + 1, s"${run.jobs} jobs in ${run.result.phases} phases")
+  }
+
+  // The count of the input, then for the sample and for the light edges
+  // an MSF contraction (three jobs) and the collect of its search edges.
+  test("KKT MSF runs at most 9 Spark jobs") {
+    val df = TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(edges, 4))
+    val kkt = jobsOf(KktMsf.run(spark, df, 4, searchBudget = 8, localThreshold = 16))
+    assert(kkt <= 9, s"KKT MSF $kkt jobs")
   }
 
   // Materialized before the count, so the generator's own jobs are not counted.

@@ -43,6 +43,16 @@ object TestGraphs {
   def weightKey(es: Seq[(Long, Long, Double)]): (Int, Long) =
     (es.size, math.round(es.map(_._3).sum * 1e9))
 
+  /** A 100-leaf star and a 10-edge path: Δ = 100 is above 10 ln n, so
+    * `MatchingPhases`' first phase matches inside a rank prefix below 1.
+    */
+  val starAndPath: Seq[(Long, Long)] =
+    (1L to 100L).map(l => (0L, l)) ++ (101L until 111L).map(i => (i, i + 1))
+
+  /** [[starAndPath]] beside a random graph over [1000, 1200). */
+  def starAndPathPlus(seed: Long): Seq[(Long, Long)] =
+    starAndPath ++ randomEdges(200, 600, seed).map { case (u, v) => (u + 1000, v + 1000) }
+
   /** A small connected random graph (spanning path + random extras). */
   def connectedEdges(n: Int, extra: Int, seed: Long): Seq[(Long, Long)] = {
     val path = (0 until n - 1).map(i => (i.toLong, (i + 1).toLong))

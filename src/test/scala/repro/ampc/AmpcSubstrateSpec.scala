@@ -28,14 +28,6 @@ class MetricsSpec extends AnyFunSuite {
     m.close()
   }
 
-  test("RunMetrics addition sums counters and maxes chains") {
-    val a = RunMetrics(shuffles = 1, shuffleBytes = 10, kvQueries = 2, maxChainDepth = 4)
-    val b = RunMetrics(shuffles = 2, shuffleBytes = 5, cacheHits = 7, maxChainDepth = 9)
-    val c = a + b
-    assert(c.shuffles == 3 && c.shuffleBytes == 15 && c.kvQueries == 2)
-    assert(c.cacheHits == 7 && c.maxChainDepth == 9)
-  }
-
   test("counters are thread-safe under concurrent updates") {
     val m = Metrics.fresh("t")
     val threads = (1 to 8).map(_ => new Thread(() => (1 to 1000).foreach(_ => m.kvQuery(1))))
@@ -80,15 +72,6 @@ class DhtSpec extends AnyFunSuite {
     assert(m.snapshot.kvQueries == 1 && m.snapshot.kvReadBytes == 4)
     val e = intercept[NoSuchElementException](d.require(99L))
     assert(e.getMessage.contains(d.id) && e.getMessage.contains("99"))
-    d.close(); m.close()
-  }
-
-  test("peek does not charge metrics") {
-    val m = Metrics.fresh("dht3")
-    val d = DhtRegistry.create[String]("t", m)
-    d.put(1L, "x", 1)
-    assert(d.peek(1L).contains("x"))
-    assert(m.snapshot.kvQueries == 0)
     d.close(); m.close()
   }
 
@@ -203,6 +186,7 @@ class DhtLifetimeSpec extends repro.SparkSpec {
   private lazy val weighted =
     TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(TestGraphs.randomEdges(40, 120, 3), 3))
   private lazy val plain = TestGraphs.toDf(spark, TestGraphs.randomEdges(40, 120, 3))
+  private lazy val starAndPath = TestGraphs.toDf(spark, TestGraphs.starAndPath)
 
   private val dhtRuns: Seq[(String, () => Any)] = Seq(
     "KKT MSF above its local threshold" -> (() => KktMsf.run(spark, weighted, 3, searchBudget = 8, localThreshold = 16)),
@@ -211,6 +195,7 @@ class DhtLifetimeSpec extends repro.SparkSpec {
     "AMPC MM" -> (() => AmpcMatching.run(spark, plain, 3)),
     "AMPC 2-Cycle" -> (() => AmpcTwoCycle.run(spark, repro.graphs.GraphGen.twoCycles(spark, 50), 3, 4)),
     "AMPC connectivity" -> (() => AmpcConnectivity.run(spark, plain, 3)),
+    "MatchingPhases" -> (() => MatchingPhases.run(spark, starAndPath, 3)),
   )
 
   private val mpcRuns: Seq[(String, () => Any)] = Seq(
@@ -223,6 +208,7 @@ class DhtLifetimeSpec extends repro.SparkSpec {
   private val throwingRuns: Seq[(String, () => Any)] = Seq(
     "AMPC MIS with a query budget of 0" -> (() => AmpcMis.run(spark, plain, 3, queryBudget = 0)),
     "MPC MIS out of phases" -> (() => MpcMis.run(spark, plain, 3, localThreshold = 0, maxPhases = 1)),
+    "MatchingPhases out of phases" -> (() => MatchingPhases.run(spark, starAndPath, 1, maxPhases = 1)),
   )
 
   private def open: (Int, Int, Int) = (DhtRegistry.stores.size, KvCache.caches.size, Metrics.registry.size)

@@ -1,10 +1,9 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
-import repro.ampc.{DhtRegistry, Metrics}
-import repro.graphs.GraphOps
+import repro.graphs.CoPartitioned
 import repro.ref.Reference
-import repro.trees.{HeavyLight, TreeFixtures}
+import repro.trees.TreeFixtures
 
 class FLightEdgesSpec extends SparkSpec {
 
@@ -26,16 +25,10 @@ class FLightEdgesSpec extends SparkSpec {
   private def light(
       edges: Seq[(Long, Long, Double)],
       forest: Seq[(Long, Long, Double)],
-  ): Set[(Long, Long, Double)] = {
-    val metrics = Metrics.fresh("flight-test")
-    val comp = DhtRegistry.create[Long]("flight-comp", metrics)
-    val tree = DhtRegistry.create[HeavyLight]("flight-tree", metrics)
-    try
-      GraphOps
-        .collectWeighted(FLightEdges.classify(spark, TestGraphs.toWeightedDf(spark, edges), forest, comp, tree))
-        .toSet
-    finally { comp.close(); tree.close(); metrics.close() }
-  }
+  ): Set[(Long, Long, Double)] =
+    CoPartitioned.run(spark, "flight-test") { kit =>
+      kit.collect(FLightEdges.classify(kit, kit.triples(TestGraphs.toWeightedDf(spark, edges)), forest)).toSet
+    }
 
   for (seed <- 1 to 8)
     test(s"classification matches brute force (seed $seed)") {
@@ -80,6 +73,12 @@ class KktMsfSpec extends SparkSpec {
     val res = KktMsf.run(spark, TestGraphs.toWeightedDf(spark, edges), 1, localThreshold = 1000)
     assert(res.metrics.shuffles == 0)
     assert(TestGraphs.weightKey(res.msf) == TestGraphs.weightKey(Reference.kruskal(edges)))
+  }
+
+  test("both paths return canonical edges") {
+    val edges = Seq((5L, 2L, 0.3), (2L, 9L, 0.1))
+    val res = KktMsf.run(spark, TestGraphs.toWeightedDf(spark, edges), 1, localThreshold = 1000)
+    assert(res.msf.toSet == Set((2L, 5L, 0.3), (2L, 9L, 0.1)))
   }
 
   test("light-edge filtering discards a constant fraction (Lemma 3.9 direction)") {

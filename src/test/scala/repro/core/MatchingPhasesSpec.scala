@@ -5,12 +5,6 @@ import repro.ref.Reference
 
 class MatchingPhasesSpec extends SparkSpec {
 
-  /** A 100-leaf star and a 10-edge path: Δ = 100 is above 10 ln n, so the
-    * first phase matches inside a rank prefix below 1.
-    */
-  private val starAndPath: Seq[(Long, Long)] =
-    (1L to 100L).map(l => (0L, l)) ++ (101L until 111L).map(i => (i, i + 1))
-
   for (seed <- 1 to 6)
     test(s"phased matching equals the global LF matching (seed $seed)") {
       val edges = TestGraphs.randomEdges(30, 70, seed)
@@ -48,14 +42,14 @@ class MatchingPhasesSpec extends SparkSpec {
 
   for (seed <- 1 to 8)
     test(s"a rank prefix below 1 keeps the global LF matching (seed $seed)") {
-      val edges = starAndPath ++ TestGraphs.randomEdges(200, 600, seed).map { case (u, v) => (u + 1000, v + 1000) }
+      val edges = TestGraphs.starAndPathPlus(seed.toLong)
       val res = MatchingPhases.run(spark, TestGraphs.toDf(spark, edges), seed.toLong)
       assert(res.phases > 1)
       assert(res.matching == Reference.lfMatching(edges, Priorities.edgeRank(_, _, seed.toLong)))
     }
 
   test("running out of phases throws instead of returning a partial matching") {
-    val e = intercept[IllegalArgumentException](MatchingPhases.run(spark, TestGraphs.toDf(spark, starAndPath), 1, maxPhases = 1))
+    val e = intercept[IllegalArgumentException](MatchingPhases.run(spark, TestGraphs.toDf(spark, TestGraphs.starAndPath), 1, maxPhases = 1))
     assert(e.getMessage.contains("1 phases"))
   }
 }

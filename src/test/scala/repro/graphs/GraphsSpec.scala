@@ -154,14 +154,6 @@ class GraphOpsSpec extends SparkSpec {
       "edges" -> edges,
     )
   }
-
-  test("withRandomWeights is deterministic and within [0,1)") {
-    val edges = TestGraphs.toDf(spark, TestGraphs.randomEdges(12, 20, 4))
-    val w1 = GraphOps.withRandomWeights(edges, 9).collect().toSet
-    val w2 = GraphOps.withRandomWeights(edges, 9).collect().toSet
-    assert(w1 == w2)
-    assert(GraphOps.withRandomWeights(edges, 9).where($"weight" < 0 || $"weight" >= 1).count() == 0)
-  }
 }
 
 class GraphStatsSpec extends SparkSpec {
