@@ -41,8 +41,6 @@ final class Dht[V](val id: String, metrics: Metrics) extends Serializable {
     e._1.asInstanceOf[V]
   }
 
-  def size: Int = map.size
-
   def close(): Unit = DhtRegistry.stores.close(id)
 }
 

@@ -1,6 +1,6 @@
 package repro.ampc
 
-import java.util.concurrent.atomic.{LongAccumulator, LongAdder}
+import org.apache.spark.util.AccumulatorV2
 
 /** Immutable snapshot of the structural cost counters of one algorithm run.
   *
@@ -30,57 +30,54 @@ final case class RunMetrics(
     maxChainDepth: Long = 0,
 )
 
-/** A mutable, thread-safe cost ledger for one algorithm run.
+/** The cost ledger of one algorithm run: a Spark accumulator whose six
+  * counters are summed and whose chain depth is a maximum.
   *
-  * Ledgers are registered JVM-globally by id so that closures running on
-  * executor threads (same JVM under `local[*]`) can record into the ledger
-  * of the run that spawned them without serializing the ledger itself.
+  * `CoPartitioned.run` registers it. A task counts into its own copy,
+  * which comes with the task's closure, and Spark merges that copy into
+  * the driver's once the attempt succeeds: a failed attempt counts
+  * nothing, and a result task counts once per partition however often it
+  * is retried. No copy is locked: a task, or the driver, updates its own
+  * from one thread.
   */
-final class Metrics private (val id: String) extends Serializable {
-  @transient private lazy val state = Metrics.registry(id)
+final class Metrics extends AccumulatorV2[RunMetrics, RunMetrics] {
+  private var shuffles, shuffleBytes, kvQueries, kvReadBytes, kvWriteBytes, cacheHits, maxChain = 0L
 
   /** Record one logical shuffle moving approximately `bytes` bytes.
     * Called exactly once per conceptual dataflow shuffle; this is the
     * unit Table 3 counts.
     */
-  def shuffle(bytes: Long): Unit = {
-    state.shuffles.increment()
-    state.shuffleBytes.add(bytes)
-  }
+  def shuffle(bytes: Long): Unit = { shuffles += 1; shuffleBytes += bytes }
 
-  def kvQuery(bytes: Long): Unit = {
-    state.kvQueries.increment()
-    state.kvReadBytes.add(bytes)
-  }
+  def kvQuery(bytes: Long): Unit = { kvQueries += 1; kvReadBytes += bytes }
 
-  def kvWrite(bytes: Long): Unit = state.kvWriteBytes.add(bytes)
+  def kvWrite(bytes: Long): Unit = kvWriteBytes += bytes
 
-  def cacheHit(): Unit = state.cacheHits.increment()
+  def cacheHit(): Unit = cacheHits += 1
 
   /** Record the serial length of one completed chain of dependent lookups. */
-  def chain(depth: Long): Unit = state.maxChain.accumulate(depth)
+  def chain(depth: Long): Unit = maxChain = math.max(maxChain, depth)
 
-  def snapshot: RunMetrics = RunMetrics(
-    shuffles = state.shuffles.sum(),
-    shuffleBytes = state.shuffleBytes.sum(),
-    kvQueries = state.kvQueries.sum(),
-    kvReadBytes = state.kvReadBytes.sum(),
-    kvWriteBytes = state.kvWriteBytes.sum(),
-    cacheHits = state.cacheHits.sum(),
-    maxChainDepth = state.maxChain.get(),
-  )
+  def add(m: RunMetrics): Unit = {
+    shuffles += m.shuffles; shuffleBytes += m.shuffleBytes; kvQueries += m.kvQueries; kvReadBytes += m.kvReadBytes
+    kvWriteBytes += m.kvWriteBytes; cacheHits += m.cacheHits; chain(m.maxChainDepth)
+  }
 
-  def close(): Unit = Metrics.registry.close(id)
+  def merge(other: AccumulatorV2[RunMetrics, RunMetrics]): Unit = add(other.value)
+
+  def value: RunMetrics = RunMetrics(shuffles, shuffleBytes, kvQueries, kvReadBytes, kvWriteBytes, cacheHits, maxChain)
+
+  def isZero: Boolean = value == RunMetrics()
+
+  def reset(): Unit = { shuffles = 0; shuffleBytes = 0; kvQueries = 0; kvReadBytes = 0; kvWriteBytes = 0; cacheHits = 0; maxChain = 0 }
+
+  def copy(): Metrics = { val c = new Metrics; c.add(value); c }
+
+  /** Does nothing; `perfbench` is its only caller. */
+  def close(): Unit = ()
 }
 
 object Metrics {
-  private[ampc] final class State {
-    val shuffles, shuffleBytes, kvQueries, kvReadBytes, kvWriteBytes, cacheHits = new LongAdder
-    val maxChain = new LongAccumulator(java.lang.Long.max(_, _), 0L)
-  }
-
-  private[ampc] val registry = new Registry[State]("cost ledger", () => new State)
-
-  /** Create a fresh ledger with a process-unique id. */
-  def fresh(tag: String): Metrics = new Metrics(registry.open(tag))
+  /** An unregistered ledger, which counts on the driver only; `perfbench` is its only caller. */
+  def fresh(tag: String): Metrics = new Metrics
 }

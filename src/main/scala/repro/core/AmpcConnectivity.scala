@@ -29,7 +29,7 @@ object AmpcConnectivity {
       edges: DataFrame,
       seed: Long,
       searchBudget: Int = 64,
-  ): Result = CoPartitioned.run(spark, "ampc-cc") { kit =>
+  ): Result = CoPartitioned.run(spark) { kit =>
     import spark.implicits._
     val weighted = kit.pairs(edges).map { case (u, v) => (u, v, Priorities.toUnit(Priorities.edgeRank(u, v, seed + 7))) }
     val c = AmpcMsf.contract(kit, weighted, seed, searchBudget)
@@ -40,6 +40,6 @@ object AmpcConnectivity {
     val rootComp = Reference.connectedComponents(linked, c.contracted.map(e => (e._1, e._2)))
     val labels = c.mapping.map { case (v, root) => (v, rootComp.getOrElse(root, root)) }.toDF("id", "component")
     val num = rootComp.values.toSet.size + (c.roots - linked.size)
-    Result(labels, num, kit.metrics.snapshot)
+    Result(labels, num, kit.metrics.value)
   }
 }

@@ -43,9 +43,9 @@ object AmpcMatching {
       seed: Long,
       caching: Boolean = true,
       queryBudget: Long = Long.MaxValue,
-  ): Result = CoPartitioned.run(spark, "ampc-mm") { kit =>
+  ): Result = CoPartitioned.run(spark) { kit =>
     val (matching, passes) = matched(kit, kit.adjacency(edges), seed, caching, queryBudget)
-    Result(matching, passes, kit.metrics.snapshot)
+    Result(matching, passes, kit.metrics.value)
   }
 
   /** One round on `kit` over adjacency rows (a vertex and its neighbors):

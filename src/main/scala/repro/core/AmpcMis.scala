@@ -38,7 +38,7 @@ object AmpcMis {
       seed: Long,
       caching: Boolean = true,
       queryBudget: Long = Long.MaxValue,
-  ): Result = CoPartitioned.run(spark, "ampc-mis") { kit =>
+  ): Result = CoPartitioned.run(spark) { kit =>
     val metrics = kit.metrics
     val dht = kit.dht[Array[Long]]("mis-adj")
     val cache = kit.cache[Boolean]("mis-res", caching)
@@ -63,7 +63,7 @@ object AmpcMis {
     val (answers, passes) = AmpcRound.resolve(kit, directed, queryBudget) { (v, adj, b) =>
       QueryProcess.inMis(v, adj, seed, dht, cache, metrics, b)
     }
-    Result(answers.collect { case (v, true) => v }.toSet, passes, metrics.snapshot)
+    Result(answers.collect { case (v, true) => v }.toSet, passes, metrics.value)
   }
 }
 

@@ -42,7 +42,7 @@ object AmpcTwoCycle {
       edges: DataFrame,
       seed: Long,
       sampleInv: Int = 64,
-  ): Result = CoPartitioned.run(spark, "ampc-2cyc") { kit =>
+  ): Result = CoPartitioned.run(spark) { kit =>
     val metrics = kit.metrics
     val dht = kit.dht[Array[Long]]("2cyc-adj")
     val (s2, inv) = (Priorities.splitmix64(seed), sampleInv.toLong)
@@ -108,6 +108,6 @@ object AmpcTwoCycle {
       crossOnce.map(_.interior).sum + selfOnce.map(_.interior).sum + sampledIds.length.toLong
     val exact = covered >= n
     val num = comps + (if (exact) 0L else 1L)
-    Result(num, exact, sampledIds.length.toLong, math.min(covered, n), metrics.snapshot)
+    Result(num, exact, sampledIds.length.toLong, math.min(covered, n), metrics.value)
   }
 }

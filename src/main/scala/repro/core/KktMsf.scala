@@ -77,18 +77,18 @@ object KktMsf {
       seed: Long,
       searchBudget: Int = 64,
       localThreshold: Long = 512,
-  ): Result = CoPartitioned.run(spark, "kkt-msf") { kit =>
+  ): Result = CoPartitioned.run(spark) { kit =>
     val edges = kit.keep(kit.triples(weightedEdges))
     val m = kit.count(edges)
     if (m <= localThreshold) {
       val msf = Reference.kruskal(kit.collect(edges).toSeq).map { case (u, v, w) => (math.min(u, v), math.max(u, v), w) }
-      Result(msf, m, m, kit.metrics.snapshot)
+      Result(msf, m, m, kit.metrics.value)
     } else {
       val p = 1.0 / math.max(2.0, math.log(m.toDouble) / math.log(2.0))
       val sample = edges.filter { case (u, v, _) => Priorities.toUnit(Priorities.edgeRank(u, v, seed + 13)) < p }
       val f = AmpcMsf.contract(kit, sample, seed, searchBudget)
       val light = AmpcMsf.contract(kit, FLightEdges.classify(kit, edges, AmpcMsf.forest(kit, f)), seed + 1, searchBudget)
-      Result(AmpcMsf.forest(kit, light), f.edges, light.edges, kit.metrics.snapshot)
+      Result(AmpcMsf.forest(kit, light), f.edges, light.edges, kit.metrics.value)
     }
   }
 }

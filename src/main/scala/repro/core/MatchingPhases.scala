@@ -35,7 +35,7 @@ object MatchingPhases {
       edges: DataFrame,
       seed: Long,
       maxPhases: Int = 32,
-  ): Result = CoPartitioned.run(spark, "matching-phases") { kit =>
+  ): Result = CoPartitioned.run(spark) { kit =>
     var g = kit.checkpoint(kit.adjacency(edges))
     var (vertices, twoM, degree) = sizes(kit, g)
     val delta0 = degree
@@ -68,7 +68,7 @@ object MatchingPhases {
         sizes(kit, g) match { case (_, m2, d) => twoM = m2; degree = d }
       }
     }
-    Result(matched, phase, kit.metrics.snapshot)
+    Result(matched, phase, kit.metrics.value)
   }
 
   /** π(uv) in [0, 1), in the greedy's signed order of edge ranks. */

@@ -18,8 +18,8 @@ import scala.reflect.ClassTag
   * [[CoPartitioned.run]] opens a kit for one run. The kit holds the run's
   * cost ledger, the DHT stores and caches it hands out, and the RDDs it
   * keeps; when the run returns or throws, it drops the kept blocks, then
-  * closes every store, cache and the ledger. In AMPC a store lives for one
-  * run only (§2, and [19]), so no store outlives the scope. The kit is not
+  * closes every store and cache. In AMPC a store lives for one run only
+  * (§2, and [19]), so no store outlives the scope. The kit is not
   * serializable: a closure names the handles it uses, never the kit.
   *
   * Every table is keyed by vertex under one `HashPartitioner`, so a lookup
@@ -39,7 +39,7 @@ import scala.reflect.ClassTag
   *    `count` make it clean closures declared in its large `RDD` and
   *    `SparkContext` classes, which costs more than a small job.
   */
-private[repro] final class CoPartitioned private (spark: SparkSession, val metrics: Metrics) {
+private[repro] final class CoPartitioned private (spark: SparkSession) {
   private val part = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
   // Spark picks Kryo for a shuffle of primitive keys and values, and Kryo
   // cannot start on Java 17 without `--add-opens`; name Java's instead.
@@ -47,6 +47,10 @@ private[repro] final class CoPartitioned private (spark: SparkSession, val metri
   private val held = mutable.ArrayBuffer.empty[RDD[_]]
   private val stores = mutable.ArrayBuffer.empty[Dht[_]]
   private val caches = mutable.ArrayBuffer.empty[KvCache[_]]
+
+  /** The run's cost ledger, registered with Spark so that tasks count into it. */
+  val metrics = new Metrics
+  spark.sparkContext.register(metrics)
 
   /** A DHT store for this run, charging [[metrics]]. */
   def dht[V](name: String): Dht[V] = {
@@ -68,11 +72,11 @@ private[repro] final class CoPartitioned private (spark: SparkSession, val metri
   /** Drops the blocks of every RDD [[checkpoint]] or [[keep]] took (not
     * through `RDD.unpersist`, which warns for each locally checkpointed one
     * that its lineage is gone: here that is the intent), then closes every
-    * store, cache and the ledger.
+    * store and cache.
     */
   private def close(): Unit =
     try held.foreach(Unpersist(_))
-    finally { stores.foreach(_.close()); caches.foreach(_.close()); metrics.close() }
+    finally { stores.foreach(_.close()); caches.foreach(_.close()) }
 
   /** `rdd`, locally checkpointed by the first action that computes it. */
   def checkpoint[T: ClassTag](rdd: RDD[T]): RDD[T] = stored(rdd)(b => held += b.localCheckpoint())
@@ -177,12 +181,11 @@ private[repro] final class CoPartitioned private (spark: SparkSession, val metri
 
 private[repro] object CoPartitioned {
 
-  /** `body` with a kit whose ledger is tagged `tag`. Whether `body`
-    * returns or throws, the kit then drops the blocks it kept and closes
-    * every store, cache and the ledger it opened.
+  /** `body` with a fresh kit, which then drops the blocks it kept and
+    * closes every store and cache it opened, whether `body` returns or throws.
     */
-  def run[R](spark: SparkSession, tag: String)(body: CoPartitioned => R): R = {
-    val kit = new CoPartitioned(spark, Metrics.fresh(tag))
+  def run[R](spark: SparkSession)(body: CoPartitioned => R): R = {
+    val kit = new CoPartitioned(spark)
     try body(kit)
     finally kit.close()
   }

@@ -47,7 +47,7 @@ object LocalContractionCC {
       seed: Long = 0,
       localThreshold: Long = 2048,
       maxRounds: Int = 200,
-  ): Result = CoPartitioned.run(spark, "mpc-cc") { kit =>
+  ): Result = CoPartitioned.run(spark) { kit =>
     import spark.implicits._
     // The kit holds every round's edges and parents until the finish has
     // materialized the label table (which reads all the parents).
@@ -107,6 +107,6 @@ object LocalContractionCC {
         labels = shuffled(withParents(labels, parents)((orig, p) => Some((p, orig))))
       }
     }
-    Result(finalLabels, num, rounds, traj.toSeq, metrics.snapshot)
+    Result(finalLabels, num, rounds, traj.toSeq, metrics.value)
   }
 }

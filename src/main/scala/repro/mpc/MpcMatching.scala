@@ -40,7 +40,7 @@ object MpcMatching {
       seed: Long,
       localThreshold: Long = 2048,
       maxPhases: Int = 200,
-  ): Result = CoPartitioned.run(spark, "mpc-mm") { kit =>
+  ): Result = CoPartitioned.run(spark) { kit =>
     val metrics = kit.metrics
     // Adjacency lists carrying edge ranks (input formatting, uncounted).
     var adj: RDD[(Long, (Array[Long], Array[Long]))] = kit.checkpoint(kit.adjacency(edges).mapPartitions(
@@ -98,6 +98,6 @@ object MpcMatching {
         })
       }
     }
-    Result(matched.toSet, phases, metrics.snapshot)
+    Result(matched.toSet, phases, metrics.value)
   }
 }

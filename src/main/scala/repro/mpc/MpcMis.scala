@@ -38,7 +38,7 @@ object MpcMis {
       seed: Long,
       localThreshold: Long = 2048,
       maxPhases: Int = 200,
-  ): Result = CoPartitioned.run(spark, "mpc-mis") { kit =>
+  ): Result = CoPartitioned.run(spark) { kit =>
     val metrics = kit.metrics
     def isRoot(v: Long, ns: Array[Long]): Boolean = {
     val vr = Priorities.vertexRank(v, seed)
@@ -92,6 +92,6 @@ object MpcMis {
         })
       }
     }
-    Result(mis.toSet, phases, metrics.snapshot)
+    Result(mis.toSet, phases, metrics.value)
   }
 }

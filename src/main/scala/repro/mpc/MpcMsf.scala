@@ -50,7 +50,7 @@ object MpcMsf {
       seed: Long,
       localThreshold: Long = 2048,
       maxPhases: Int = 200,
-  ): Result = CoPartitioned.run(spark, "mpc-msf") { kit =>
+  ): Result = CoPartitioned.run(spark) { kit =>
     import kit.{checkpoint, shuffled, withParents}
     val metrics = kit.metrics
     // Working edges, keyed by current src.
@@ -97,6 +97,6 @@ object MpcMsf {
         cur = checkpoint(shuffled(withParents(byDst, parents)((e, pv) => Option.when(e.to != pv)((e.to, e.copy(to = pv))))))
       }
     }
-    Result(msf.toSeq.distinct, phases, metrics.snapshot)
+    Result(msf.toSeq.distinct, phases, metrics.value)
   }
 }

@@ -3,13 +3,15 @@ package repro
 import org.apache.spark.sql.SparkSession
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for every Spark test but `RetrySpec`: one local-mode SparkSession
+  * for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit). Broadcast joins are disabled, as `TableJob` disables them, so
+  * the `GraphOps` joins the `Oracle` checks (`withDegreeWeights`) run as
+  * the same shuffle joins here as in the table runs; a tiny test input
+  * would otherwise be broadcast.
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -14,86 +14,85 @@ private object Serialized {
 
 class MetricsSpec extends AnyFunSuite {
   test("fresh ledgers are independent") {
-    val a = Metrics.fresh("a"); val b = Metrics.fresh("b")
+    val a = new Metrics; val b = new Metrics
     a.shuffle(100); b.kvQuery(5)
-    assert(a.snapshot == RunMetrics(shuffles = 1, shuffleBytes = 100))
-    assert(b.snapshot == RunMetrics(kvQueries = 1, kvReadBytes = 5))
-    a.close(); b.close()
+    assert(a.value == RunMetrics(shuffles = 1, shuffleBytes = 100))
+    assert(b.value == RunMetrics(kvQueries = 1, kvReadBytes = 5))
   }
 
   test("chain records the maximum dependent depth") {
-    val m = Metrics.fresh("c")
+    val m = new Metrics
     m.chain(3); m.chain(10); m.chain(5)
-    assert(m.snapshot.maxChainDepth == 10)
-    m.close()
+    assert(m.value.maxChainDepth == 10)
   }
 
-  test("counters are thread-safe under concurrent updates") {
-    val m = Metrics.fresh("t")
-    val threads = (1 to 8).map(_ => new Thread(() => (1 to 1000).foreach(_ => m.kvQuery(1))))
-    threads.foreach(_.start()); threads.foreach(_.join())
-    assert(m.snapshot.kvQueries == 8000)
-    m.close()
+  test("merging two copies adds the sums and takes the longer chain") {
+    val a = new Metrics; val b = new Metrics
+    a.shuffle(100); a.kvQuery(5); a.cacheHit(); a.chain(7)
+    b.kvQuery(3); b.kvWrite(16); b.chain(4)
+    a.merge(b)
+    assert(a.value == RunMetrics(shuffles = 1, shuffleBytes = 100, kvQueries = 2, kvReadBytes = 8,
+      kvWriteBytes = 16, cacheHits = 1, maxChainDepth = 7))
+    val zero = a.copyAndReset()
+    assert(zero.isZero && zero.value == RunMetrics() && !a.isZero)
   }
+}
 
-  test("a handle to a closed ledger throws, naming the id") {
-    val m = Metrics.fresh("closed")
-    val copy = Serialized(m)
-    m.close()
-    val e = intercept[IllegalStateException](copy.shuffle(1))
-    assert(e.getMessage.contains(m.id))
-  }
+/** A ledger registered on the shared session, as every kit registers its
+  * own: an unregistered ledger refuses to serialize.
+  */
+private object Registered {
+  def apply(): Metrics = { val m = new Metrics; repro.SparkSpec.shared.sparkContext.register(m); m }
 }
 
 class DhtSpec extends AnyFunSuite {
   test("put/get roundtrip with byte accounting") {
-    val m = Metrics.fresh("dht1")
+    val m = new Metrics
     val d = DhtRegistry.create[Array[Long]]("t", m)
     d.put(1L, Array(10L, 20L), 16)
     assert(d.get(1L).get.toSeq == Seq(10L, 20L))
-    val s = m.snapshot
+    val s = m.value
     assert(s.kvWriteBytes == 16 && s.kvQueries == 1 && s.kvReadBytes == 16)
-    d.close(); m.close()
+    d.close()
   }
 
   test("miss counts one query of one byte") {
-    val m = Metrics.fresh("dht2")
+    val m = new Metrics
     val d = DhtRegistry.create[String]("t", m)
     assert(d.get(99L).isEmpty)
-    assert(m.snapshot.kvQueries == 1 && m.snapshot.kvReadBytes == 1)
-    d.close(); m.close()
+    assert(m.value.kvQueries == 1 && m.value.kvReadBytes == 1)
+    d.close()
   }
 
   test("require counts a hit as get does and throws on a miss") {
-    val m = Metrics.fresh("dht6")
+    val m = new Metrics
     val d = DhtRegistry.create[String]("t", m)
     d.put(1L, "x", 4)
     assert(d.require(1L) == "x")
-    assert(m.snapshot.kvQueries == 1 && m.snapshot.kvReadBytes == 4)
+    assert(m.value.kvQueries == 1 && m.value.kvReadBytes == 4)
     val e = intercept[NoSuchElementException](d.require(99L))
     assert(e.getMessage.contains(d.id) && e.getMessage.contains("99"))
-    d.close(); m.close()
+    d.close()
   }
 
   test("stores are isolated by id") {
-    val m = Metrics.fresh("dht4")
+    val m = new Metrics
     val a = DhtRegistry.create[String]("t", m)
     val b = DhtRegistry.create[String]("t", m)
     a.put(1L, "a", 1)
     assert(b.get(1L).isEmpty)
-    a.close(); b.close(); m.close()
+    a.close(); b.close()
   }
 
   test("handles survive serialization (closure capture)") {
-    val m = Metrics.fresh("dht5")
-    val d = DhtRegistry.create[String]("t", m)
+    val d = DhtRegistry.create[String]("t", Registered())
     d.put(7L, "v", 1)
     assert(Serialized(d).get(7L).contains("v"))
-    d.close(); m.close()
+    d.close()
   }
 
   test("a read through a closed store throws, naming the id") {
-    val m = Metrics.fresh("dht7")
+    val m = Registered()
     val d = DhtRegistry.create[String]("t", m)
     d.put(7L, "v", 1)
     val copy = Serialized(d)
@@ -101,38 +100,35 @@ class DhtSpec extends AnyFunSuite {
     val e = intercept[IllegalStateException](copy.get(7L))
     assert(e.getMessage.contains(d.id))
     intercept[IllegalStateException](new Dht[String]("never-created", m).get(7L))
-    m.close()
   }
 }
 
 class KvCacheSpec extends AnyFunSuite {
   test("enabled cache stores and counts hits") {
-    val m = Metrics.fresh("kc1")
+    val m = new Metrics
     val c = KvCache.create[Boolean]("t", enabled = true, m)
     assert(c.get(1L).isEmpty)
     c.put(1L, true)
     assert(c.get(1L).contains(true))
-    assert(m.snapshot.cacheHits == 1)
-    c.close(); m.close()
+    assert(m.value.cacheHits == 1)
+    c.close()
   }
 
   test("disabled cache always misses and never stores") {
-    val m = Metrics.fresh("kc2")
+    val m = new Metrics
     val c = KvCache.create[Boolean]("t", enabled = false, m)
     c.put(1L, true)
     assert(c.get(1L).isEmpty)
-    assert(m.snapshot.cacheHits == 0 && c.size == 0)
-    c.close(); m.close()
+    assert(m.value.cacheHits == 0 && c.size == 0)
+    c.close()
   }
 
   test("a handle to a closed cache throws, naming the id") {
-    val m = Metrics.fresh("kc3")
-    val c = KvCache.create[Boolean]("t", enabled = true, m)
+    val c = KvCache.create[Boolean]("t", enabled = true, Registered())
     val copy = Serialized(c)
     c.close()
     val e = intercept[IllegalStateException](copy.get(1L))
     assert(e.getMessage.contains(c.id))
-    m.close()
   }
 }
 
@@ -174,9 +170,8 @@ class CostModelSpec extends AnyFunSuite {
 }
 
 /** Every algorithm run closes what it opens, whether it returns or
-  * throws: a DHT store, result cache or cost ledger left open holds its
-  * entries in its registry for the life of the JVM. Each test checks all
-  * three registries.
+  * throws: a DHT store or result cache left open holds its entries in its
+  * registry for the life of the JVM. Each test checks both registries.
   */
 class DhtLifetimeSpec extends repro.SparkSpec {
   import repro.TestGraphs
@@ -198,32 +193,22 @@ class DhtLifetimeSpec extends repro.SparkSpec {
     "MatchingPhases" -> (() => MatchingPhases.run(spark, starAndPath, 3)),
   )
 
-  private val mpcRuns: Seq[(String, () => Any)] = Seq(
-    "MPC MIS" -> (() => MpcMis.run(spark, plain, 3, localThreshold = 0)),
-    "MPC MM" -> (() => MpcMatching.run(spark, plain, 3, localThreshold = 0)),
-    "MPC MSF" -> (() => MpcMsf.run(spark, weighted, 3, localThreshold = 0)),
-    "MPC connectivity" -> (() => LocalContractionCC.run(spark, plain, 3, localThreshold = 0)),
-  )
-
   private val throwingRuns: Seq[(String, () => Any)] = Seq(
     "AMPC MIS with a query budget of 0" -> (() => AmpcMis.run(spark, plain, 3, queryBudget = 0)),
     "MPC MIS out of phases" -> (() => MpcMis.run(spark, plain, 3, localThreshold = 0, maxPhases = 1)),
     "MatchingPhases out of phases" -> (() => MatchingPhases.run(spark, starAndPath, 1, maxPhases = 1)),
   )
 
-  private def open: (Int, Int, Int) = (DhtRegistry.stores.size, KvCache.caches.size, Metrics.registry.size)
+  private def open: (Int, Int) = (DhtRegistry.stores.size, KvCache.caches.size)
 
   private def closesAll(run: => Any): Unit = {
     val before = open
     run
-    assert(open == before, "(stores, caches, ledgers) open")
+    assert(open == before, "(stores, caches) open")
   }
 
   for ((name, run) <- dhtRuns)
     test(s"$name closes every DHT store it opens")(closesAll(run()))
-
-  for ((name, run) <- mpcRuns)
-    test(s"$name closes its ledger")(closesAll(run()))
 
   for ((name, run) <- throwingRuns)
     test(s"$name closes what it opened when it throws") {

@@ -101,12 +101,12 @@ class TruncatedPrimSpec extends SparkSpec {
       }
 
   private def runSearch(edges: Seq[(Long, Long, Double)], v: Long, seed: Long, budget: Int) = {
-    val metrics = repro.ampc.Metrics.fresh("tp-test")
+    val metrics = new repro.ampc.Metrics
     val dht = repro.ampc.DhtRegistry.create[WeightAdj]("tp", metrics)
     val adj = adjOf(edges)
     adj.foreach { case (k, a) => dht.put(k, a, 1) }
     val out = TruncatedPrim.search(v, adj(v), seed, dht, metrics, budget).toList
-    dht.close(); metrics.close()
+    dht.close()
     out
   }
 
@@ -154,7 +154,7 @@ class TruncatedPrimSpec extends SparkSpec {
 
 class PointerJumpSpec extends SparkSpec {
   test("walks parent chains to the root with memoization") {
-    val metrics = repro.ampc.Metrics.fresh("pj")
+    val metrics = new repro.ampc.Metrics
     val dht = repro.ampc.DhtRegistry.create[Long]("pj", metrics)
     val cache = repro.ampc.KvCache.create[Long]("pjc", enabled = true, metrics)
     // chain 5 -> 4 -> 3 -> 2 -> 1 (root), star 10 -> 1
@@ -162,19 +162,19 @@ class PointerJumpSpec extends SparkSpec {
     assert(PointerJump.root(5L, dht, cache, metrics) == 1L)
     assert(PointerJump.root(10L, dht, cache, metrics) == 1L)
     assert(PointerJump.root(1L, dht, cache, metrics) == 1L)
-    val q1 = metrics.snapshot.kvQueries
+    val q1 = metrics.value.kvQueries
     assert(PointerJump.root(4L, dht, cache, metrics) == 1L) // memoized
-    assert(metrics.snapshot.kvQueries == q1)
-    dht.close(); cache.close(); metrics.close()
+    assert(metrics.value.kvQueries == q1)
+    dht.close(); cache.close()
   }
 
   test("chain depth is recorded") {
-    val metrics = repro.ampc.Metrics.fresh("pj2")
+    val metrics = new repro.ampc.Metrics
     val dht = repro.ampc.DhtRegistry.create[Long]("pj2", metrics)
     val cache = repro.ampc.KvCache.create[Long]("pjc2", enabled = false, metrics)
     (1L until 20L).foreach(i => dht.put(i + 1, i, 1))
     assert(PointerJump.root(20L, dht, cache, metrics) == 1L)
-    assert(metrics.snapshot.maxChainDepth >= 19)
-    dht.close(); cache.close(); metrics.close()
+    assert(metrics.value.maxChainDepth >= 19)
+    dht.close(); cache.close()
   }
 }

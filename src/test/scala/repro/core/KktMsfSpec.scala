@@ -26,7 +26,7 @@ class FLightEdgesSpec extends SparkSpec {
       edges: Seq[(Long, Long, Double)],
       forest: Seq[(Long, Long, Double)],
   ): Set[(Long, Long, Double)] =
-    CoPartitioned.run(spark, "flight-test") { kit =>
+    CoPartitioned.run(spark) { kit =>
       kit.collect(FLightEdges.classify(kit, kit.triples(TestGraphs.toWeightedDf(spark, edges)), forest)).toSet
     }
 

@@ -48,7 +48,7 @@ class CoPartitionedSpec extends SparkSpec {
     val add = (c: (Long, Long), v: Long) => (math.min(c._1, v), c._2 + 1)
     val merge = (a: (Long, Long), b: (Long, Long)) => (math.min(a._1, b._1), a._2 + b._2)
     check { layout =>
-      CoPartitioned.run(spark, "combined") { kit =>
+      CoPartitioned.run(spark) { kit =>
         val rows = keyed(layout)
         val pairKeyed = rows.map { case (k, v) => ((k % 3, k), v) }
         val combined = sorted(kit.combined(rows)(create, add, merge).collect()) == sorted(sparkCombined(rows)(create, add, merge).collect())
@@ -65,7 +65,7 @@ class CoPartitionedSpec extends SparkSpec {
   test("grouped equals a distinct groupByKey, ascending") {
     check { layout =>
       val rows = keyed(layout)
-      val ours = CoPartitioned.run(spark, "grouped")(_.grouped(rows).collect().map { case (k, vs) => (k, vs.toSeq) })
+      val ours = CoPartitioned.run(spark)(_.grouped(rows).collect().map { case (k, vs) => (k, vs.toSeq) })
       val theirs = rows.mapValues(Long.box).groupByKey().collect().map { case (k, vs) => (k, vs.map(Long.unbox).toSeq.distinct.sorted) }
       propBoolean(ours.toSeq.sortBy(_._1) == theirs.toSeq.sortBy(_._1))
     }
@@ -75,7 +75,7 @@ class CoPartitionedSpec extends SparkSpec {
     val sc = spark.sparkContext
     check { layout =>
       val before = sc.getPersistentRDDs.keySet
-      val (inScope, stored) = CoPartitioned.run(spark, "keep") { kit =>
+      val (inScope, stored) = CoPartitioned.run(spark) { kit =>
         val on = kit.shuffled(keyed(layout))
         val kept = kit.keep(on)
         val checkpointed = kit.checkpoint(on.mapValues(_ + 1))
@@ -93,7 +93,7 @@ class CoPartitionedSpec extends SparkSpec {
 
   test("the kit's collect and count equal RDD.collect and RDD.count") {
     check { layout =>
-      CoPartitioned.run(spark, "collect") { kit =>
+      CoPartitioned.run(spark) { kit =>
         val rows = keyed(layout)
         val collected = kit.collect(rows).toSeq == rows.collect().toSeq
         val counted = kit.count(rows) == rows.count()
