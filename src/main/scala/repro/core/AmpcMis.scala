@@ -47,8 +47,13 @@ object AmpcMis {
     val directed = kit.keep(kit.adjacency(edges).mapPartitions(
       _.map { case (v, ns) =>
         val vr = Priorities.vertexRank(v, seed)
-        val preds = ns.filter(u => Priorities.precedes(Priorities.vertexRank(u, seed), u, vr, v))
-        (v, preds.sortBy(u => (Priorities.vertexRank(u, seed), u)))
+        val rank = ns.map(Priorities.vertexRank(_, seed))
+        val preds = Array.range(0, ns.length).filter(i => Priorities.precedes(rank(i), ns(i), vr, v))
+        val byRank: Ordering[Int] = { (i, j) =>
+          val c = java.lang.Long.compare(rank(i), rank(j))
+          if (c != 0) c else java.lang.Long.compare(ns(i), ns(j))
+        }
+        (v, preds.sorted(byRank).map(i => ns(i)))
       },
       preservesPartitioning = true,
     ))

@@ -1,9 +1,10 @@
 package repro.core
 
+import java.io.{DataInputStream, DataOutputStream}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{Dht, KvCache, Metrics, RunMetrics}
-import repro.graphs.{CoPartitioned, GraphOps}
+import repro.graphs.{Codec, CoPartitioned, GraphOps}
 import repro.ref.Reference
 import scala.collection.mutable
 
@@ -84,10 +85,17 @@ object AmpcMsf {
   )
 
   /** One incident edge of a vertex as shuffled: the neighbor, the weight,
-    * and whether the input row named this vertex as its src. Primitive
-    * fields, as Java serialization of boxed tuples is slower.
+    * and whether the input row named this vertex as its src. Its codec
+    * writes the three fields.
     */
-  private final case class Arc(to: Long, w: Double, out: Boolean)
+  private[repro] final case class Arc(to: Long, w: Double, out: Boolean)
+
+  private[repro] object Arc {
+    implicit val codec: Codec[Arc] = new Codec[Arc] {
+      def write(o: DataOutputStream, a: Arc): Unit = { o.writeLong(a.to); Codec.double.write(o, a.w); o.writeBoolean(a.out) }
+      def read(i: DataInputStream): Arc = Arc(i.readLong(), Codec.double.read(i), i.readBoolean())
+    }
+  }
 
   /** A vertex's row: its weight-sorted adjacency, and `out(i)` iff the
     * input row of its i-th edge named this vertex as its src.
@@ -97,7 +105,26 @@ object AmpcMsf {
   /** An input edge row on its way through the contraction, with the root
     * of the endpoint it was last keyed by.
     */
-  private final case class Relabeled(src: Long, dst: Long, w: Double, root: Long)
+  private[repro] final case class Relabeled(src: Long, dst: Long, w: Double, root: Long)
+
+  private[repro] object Relabeled {
+    implicit val codec: Codec[Relabeled] = new Codec[Relabeled] {
+      def write(o: DataOutputStream, e: Relabeled): Unit = {
+        o.writeLong(e.src); o.writeLong(e.dst); Codec.double.write(o, e.w); o.writeLong(e.root)
+      }
+      def read(i: DataInputStream): Relabeled = Relabeled(i.readLong(), i.readLong(), Codec.double.read(i), i.readLong())
+    }
+  }
+
+  /** The arcs of `v` by (weight, canonical endpoints): Prim's pop order. */
+  private def byWeightAt(v: Long): Ordering[Arc] = { (a, b) =>
+    val c = java.lang.Double.compare(a.w, b.w)
+    if (c != 0) c
+    else {
+      val lo = java.lang.Long.compare(math.min(v, a.to), math.min(v, b.to))
+      if (lo != 0) lo else java.lang.Long.compare(math.max(v, a.to), math.max(v, b.to))
+    }
+  }
 
   /** The lighter of two rows by (weight, src, dst). */
   private def lighter(a: Relabeled, b: Relabeled): Relabeled = {
@@ -132,7 +159,7 @@ object AmpcMsf {
         val arcs = mutable.LongMap.empty[mutable.ArrayBuffer[Arc]]
         it.foreach { case (v, a) => arcs.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += a }
         arcs.iterator.map { case (v, as) =>
-          val sorted = as.sortBy(a => (a.w, math.min(v, a.to), math.max(v, a.to)))
+          val sorted = as.sorted(byWeightAt(v))
           (v, Incident(WeightAdj(sorted.map(_.to).toArray, sorted.map(_.w).toArray), sorted.map(_.out).toArray))
         }
       },

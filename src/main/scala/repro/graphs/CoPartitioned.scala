@@ -2,7 +2,6 @@ package repro.graphs
 
 import org.apache.spark.{HashPartitioner, TaskContext, Unpersist}
 import org.apache.spark.rdd.{RDD, ShuffledRDD}
-import org.apache.spark.serializer.JavaSerializer
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
@@ -28,7 +27,7 @@ import scala.reflect.ClassTag
   * shuffles an algorithm declares.
   *
   * At this scale Spark's own bookkeeping costs more than the work, so the
-  * kit keeps out of three parts of it:
+  * kit keeps out of four parts of it:
   *  - a combine runs in a hash map of the kit's on each side of a plain
   *    shuffle, not in Spark's aggregator, whose map re-measures its size
   *    as it grows. It cannot spill: a combine holds its partition in
@@ -37,13 +36,15 @@ import scala.reflect.ClassTag
   *    measures once, not row by row;
   *  - an action is one `runJob` of a kit closure. Spark's `collect` and
   *    `count` make it clean closures declared in its large `RDD` and
-  *    `SparkContext` classes, which costs more than a small job.
+  *    `SparkContext` classes, which costs more than a small job;
+  *  - a shuffle is written by a [[KitSerializer]]: each key and value
+  *    field by field, by the [[Codec]] of its type, with no stream header
+  *    or class descriptor. Spark would pick Kryo for primitive keys and
+  *    values, which does not start on Java 17 without `--add-opens`, and
+  *    Java serialization, which cost more than the work, otherwise.
   */
 private[repro] final class CoPartitioned private (spark: SparkSession) {
   private val part = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
-  // Spark picks Kryo for a shuffle of primitive keys and values, and Kryo
-  // cannot start on Java 17 without `--add-opens`; name Java's instead.
-  private val ser = new JavaSerializer(spark.sparkContext.getConf)
   private val held = mutable.ArrayBuffer.empty[RDD[_]]
   private val stores = mutable.ArrayBuffer.empty[Dht[_]]
   private val caches = mutable.ArrayBuffer.empty[KvCache[_]]
@@ -95,17 +96,22 @@ private[repro] final class CoPartitioned private (spark: SparkSession) {
   }
 
   /** `rdd` moved to the partitions of its keys. */
-  def shuffled[V: ClassTag](rdd: RDD[(Long, V)]): RDD[(Long, V)] =
-    new ShuffledRDD[Long, V, V](rdd, part).setSerializer(ser)
+  def shuffled[V: ClassTag: Codec](rdd: RDD[(Long, V)]): RDD[(Long, V)] = exchange(rdd)
 
   /** One value per key, combined on the map side before the shuffle. */
-  def combined[K: ClassTag, V: ClassTag, C: ClassTag](rdd: RDD[(K, V)])(create: V => C, add: (C, V) => C, merge: (C, C) => C): RDD[(K, C)] =
-    new ShuffledRDD[K, C, C](rdd.mapPartitions(CoPartitioned.combine(_)(create, add)), part)
-      .setSerializer(ser)
+  def combined[K: ClassTag: Codec, V: ClassTag, C: ClassTag: Codec](rdd: RDD[(K, V)])(
+      create: V => C, add: (C, V) => C, merge: (C, C) => C): RDD[(K, C)] =
+    exchange(rdd.mapPartitions(CoPartitioned.combine(_)(create, add)))
       .mapPartitions(CoPartitioned.combine(_)(identity[C], merge), preservesPartitioning = true)
 
-  def reduced[K: ClassTag, V: ClassTag](rdd: RDD[(K, V)])(f: (V, V) => V): RDD[(K, V)] =
+  def reduced[K: ClassTag: Codec, V: ClassTag: Codec](rdd: RDD[(K, V)])(f: (V, V) => V): RDD[(K, V)] =
     combined(rdd)(identity[V], f, f)
+
+  /** The one wide step: a plain shuffle onto [[part]], written by the
+    * codecs of its key and value.
+    */
+  private def exchange[K: ClassTag: Codec, V: ClassTag: Codec](rdd: RDD[(K, V)]): RDD[(K, V)] =
+    new ShuffledRDD[K, V, V](rdd, part).setSerializer(new KitSerializer(Codec[K], Codec[V]))
 
   /** The distinct values of every key, ascending. */
   def grouped(rdd: RDD[(Long, Long)]): RDD[(Long, Array[Long])] = lists(rdd)(CoPartitioned.sortedDistinct)

@@ -1,10 +1,11 @@
 package repro.mpc
 
+import java.io.{DataInputStream, DataOutputStream}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.RunMetrics
 import repro.core.Priorities
-import repro.graphs.{CoPartitioned, GraphOps}
+import repro.graphs.{Codec, CoPartitioned, GraphOps}
 import repro.ref.Reference
 import scala.collection.mutable
 
@@ -34,15 +35,30 @@ object MpcMsf {
       metrics: RunMetrics,
   )
 
-  /** An edge in the row of one endpoint. A class of primitive fields, not
-    * a tuple of boxed ones, as every phase Java-serializes each edge twice.
+  /** An edge in the row of one endpoint: the other end's current label,
+    * the weight and the original endpoints. Every phase shuffles each
+    * edge twice, and its codec writes the four fields.
     */
-  private final case class Edge(to: Long, w: Double, ou: Long, ov: Long) {
+  private[repro] final case class Edge(to: Long, w: Double, ou: Long, ov: Long) {
     def original: (Long, Long, Double) = (math.min(ou, ov), math.max(ou, ov), w)
   }
 
+  private[repro] object Edge {
+    implicit val codec: Codec[Edge] = new Codec[Edge] {
+      def write(o: DataOutputStream, e: Edge): Unit = { o.writeLong(e.to); Codec.double.write(o, e.w); o.writeLong(e.ou); o.writeLong(e.ov) }
+      def read(i: DataInputStream): Edge = Edge(i.readLong(), Codec.double.read(i), i.readLong(), i.readLong())
+    }
+  }
+
   /** (w, canonical original endpoints): [[Reference.kruskal]]'s order. */
-  private val byWeight: Ordering[Edge] = Ordering.by(e => (e.w, math.min(e.ou, e.ov), math.max(e.ou, e.ov)))
+  private val byWeight: Ordering[Edge] = { (a, b) =>
+    val c = java.lang.Double.compare(a.w, b.w)
+    if (c != 0) c
+    else {
+      val lo = java.lang.Long.compare(math.min(a.ou, a.ov), math.min(b.ou, b.ov))
+      if (lo != 0) lo else java.lang.Long.compare(math.max(a.ou, a.ov), math.max(b.ou, b.ov))
+    }
+  }
 
   def run(
       spark: SparkSession,

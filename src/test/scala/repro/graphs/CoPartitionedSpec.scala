@@ -1,11 +1,14 @@
 package repro.graphs
 
-import org.apache.spark.HashPartitioner
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
+import org.apache.spark.{HashPartitioner, ShuffleDependency}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.serializer.JavaSerializer
-import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.{Arbitrary, Gen, Prop, Test}
 import org.scalacheck.Prop.{forAllNoShrink, propBoolean}
 import repro.SparkSpec
+import repro.core.AmpcMsf.{Arc, Relabeled}
+import repro.mpc.MpcMsf.Edge
 import scala.reflect.ClassTag
 
 /** Each [[CoPartitioned]] primitive against Spark's own, on random keyed
@@ -13,6 +16,7 @@ import scala.reflect.ClassTag
   * partition that has rows.
   */
 class CoPartitionedSpec extends SparkSpec {
+  import CoPartitionedSpec._
 
   private val Hot = 7L
 
@@ -35,8 +39,8 @@ class CoPartitionedSpec extends SparkSpec {
   }
 
   /** Spark's combine, under both `combineByKey` and `reduceByKey`, with
-    * Java serialization named as the kit names it: for primitive keys and
-    * values Spark would pick Kryo, which does not start on Java 17.
+    * Java serialization named: for primitive keys and values Spark would
+    * pick Kryo, which does not start on Java 17.
     */
   private def sparkCombined[K: ClassTag, V: ClassTag, C: ClassTag](rdd: RDD[(K, V)])(create: V => C, add: (C, V) => C, merge: (C, C) => C) =
     rdd.combineByKeyWithClassTag(create, add, merge, new HashPartitioner(3), mapSideCombine = true, new JavaSerializer(spark.sparkContext.getConf))
@@ -58,6 +62,108 @@ class CoPartitionedSpec extends SparkSpec {
         val pairReduced = sorted(kit.reduced(pairKeyed)(math.max).collect()) == sorted(pairKeyed.reduceByKey(math.max).collect())
         combined :| "combined" && reduced :| "reduced" && pairCombined :| "combined on pair keys" && pairReduced :| "reduced on pair keys"
       }
+    }
+  }
+
+  /** `rows`' bits, taken where the rows are: a collect would Java-serialize
+    * them, which drops a NaN's payload.
+    */
+  private def bitsOf(rows: RDD[_]): Seq[String] = rows.map(bits(_).toString).collect().toSeq.sorted
+
+  private def bitsOf(rows: Iterable[Any]): Seq[String] = rows.map(bits(_).toString).toSeq.sorted
+
+  private val longs: Gen[Long] = Gen.oneOf(Gen.oneOf(Long.MinValue, Long.MaxValue, 0L, -1L), Arbitrary.arbitrary[Long])
+  private val doubles: Gen[Double] = Gen.oneOf(Gen.oneOf(specialWeights.toSeq), Arbitrary.arbitrary[Double])
+  private val booleans: Gen[Boolean] = Gen.oneOf(true, false)
+  private val arcs: Gen[Arc] = Gen.zip(longs, doubles, booleans).map((Arc.apply _).tupled)
+  private val relabeled: Gen[Relabeled] = Gen.zip(longs, longs, doubles, longs).map((Relabeled.apply _).tupled)
+  private val edges: Gen[Edge] = Gen.zip(longs, doubles, longs, longs).map((Edge.apply _).tupled)
+
+  /** Written as (key, value) records by a kit serializer's stream and read
+    * back, `rows` keep every bit.
+    */
+  private def roundTrips[K: Codec, V: Codec](keys: Gen[K], values: Gen[V]): Prop =
+    forAllNoShrink(Gen.listOf(Gen.zip(keys, values))) { rows =>
+      val ser = new KitSerializer(Codec[K], Codec[V]).newInstance()
+      val bytes = new ByteArrayOutputStream
+      val out = ser.serializeStream(bytes)
+      rows.foreach { case (k, v) => out.writeKey[Any](k).writeValue[Any](v) }
+      out.close()
+      val back = ser.deserializeStream(new ByteArrayInputStream(bytes.toByteArray)).asKeyValueIterator.toList
+      propBoolean(back.map(bits) == rows.map(bits)) :| s"${rows.size} rows"
+    }
+
+  test("every codec round-trips through a kit serialization stream, bit for bit") {
+    val props = Seq(
+      "Long" -> roundTrips(longs, longs),
+      "Boolean" -> roundTrips(longs, booleans),
+      "Double" -> roundTrips(longs, doubles),
+      "(Long, Long)" -> roundTrips(Gen.zip(longs, longs), Gen.zip(longs, longs)),
+      "Arc" -> roundTrips(longs, arcs),
+      "Relabeled" -> roundTrips(Gen.zip(longs, longs), relabeled),
+      "Edge" -> roundTrips(longs, edges),
+      "(Edge, Long)" -> roundTrips(longs, Gen.zip(edges, longs)),
+    )
+    for ((name, prop) <- props) {
+      val r = Test.check(Test.Parameters.default.withMinSuccessfulTests(50).withWorkers(1), prop)
+      assert(r.passed, s"$name: ${r.status}")
+    }
+  }
+
+  test("an empty kit serialization stream reads as no records") {
+    val ser = new KitSerializer(Codec[(Long, Long)], Codec[Edge]).newInstance()
+    assert(ser.deserializeStream(new ByteArrayInputStream(Array.emptyByteArray)).asKeyValueIterator.isEmpty)
+  }
+
+  test("each shuffled record type keeps its bits through the kit's shuffled, combined and reduced") {
+    check { layout =>
+      CoPartitioned.run(spark) { kit =>
+        val rows = keyed(layout)
+        def moved[V: ClassTag: Codec](make: (Long, Long) => V): Boolean = {
+          val in = rows.map { case (k, v) => (k, make(k, v)) }
+          bitsOf(kit.shuffled(in)) == bitsOf(in)
+        }
+        val local = rows.collect().toSeq
+        val es = rows.map { case (k, v) => (k, Edge(v, weight(v), k, v)) }
+        val minEdges = kit.combined[Long, Edge, (Edge, Long)](es)(e => (e, 1L), (c, e) => (lower(c._1, e), c._2 + 1), (c, d) => (lower(c._1, d._1), c._2 + d._2))
+        val expectedMinEdges = local.groupBy(_._1).map { case (k, vs) =>
+          (k, (vs.map { case (_, v) => Edge(v, weight(v), k, v) }.reduce(lower), vs.size.toLong))
+        }
+        val rs = rows.map { case (k, v) => ((k % 3, k), Relabeled(k, v, weight(v), v)) }
+        val expectedNearest = local.groupBy { case (k, _) => (k % 3, k) }.map { case (kk, vs) =>
+          (kk, vs.map { case (k, v) => Relabeled(k, v, weight(v), v) }.reduce(nearer))
+        }
+        val marks = kit.reduced(rows.map { case (k, v) => (k, v % 2 == 0) })(_ || _)
+        val expectedMarks = local.groupBy(_._1).map { case (k, vs) => (k, vs.exists(_._2 % 2 == 0)) }
+        moved((_, v) => v) :| "Long" &&
+        moved((_, v) => Arc(v, weight(v), v % 2 == 0)) :| "Arc" &&
+        moved((k, v) => Relabeled(k, v, weight(v), v)) :| "Relabeled" &&
+        moved((k, v) => Edge(v, weight(v), k, v)) :| "Edge" &&
+        (bitsOf(minEdges) == bitsOf(expectedMinEdges)) :| "combined (Edge, Long)" &&
+        (bitsOf(kit.reduced(rs)(nearer)) == bitsOf(expectedNearest)) :| "reduced Relabeled on pair keys" &&
+        (bitsOf(marks) == bitsOf(expectedMarks)) :| "reduced Boolean"
+      }
+    }
+  }
+
+  test("every shuffle the kit creates names the kit serializer") {
+    def shuffles(rdd: RDD[_]): Seq[ShuffleDependency[_, _, _]] = rdd.dependencies.flatMap {
+      case s: ShuffleDependency[_, _, _] => s +: shuffles(s.rdd)
+      case d                             => shuffles(d.rdd)
+    }
+    CoPartitioned.run(spark) { kit =>
+      val rows = keyed(List(Nil, List((1L, 2L), (3L, 4L))))
+      val edgeRows = spark.createDataFrame(Seq((1L, 2L), (2L, 3L))).toDF("src", "dst")
+      val made = Seq(
+        kit.shuffled(rows),
+        kit.combined[Long, Long, (Long, Long)](rows)(v => (v, 1L), (c, v) => (c._1 + v, c._2 + 1), (c, d) => (c._1 + d._1, c._2 + d._2)),
+        kit.reduced(rows.map { case (k, v) => ((k, v), v > 2) })(_ || _),
+        kit.grouped(rows),
+        kit.adjacency(edgeRows),
+      )
+      val deps = made.flatMap(shuffles)
+      assert(deps.size == made.size)
+      deps.foreach(d => assert(d.serializer.isInstanceOf[KitSerializer[_, _]], d.serializer.getClass.getName))
     }
   }
 
@@ -114,4 +220,26 @@ class CoPartitionedSpec extends SparkSpec {
       val e = intercept[IllegalArgumentException](CoPartitioned.requireLocal(master))
       assert(e.getMessage.contains(master))
     }
+}
+
+/** What the spec's Spark closures use, outside the (unserializable) suite. */
+private object CoPartitionedSpec {
+  val specialWeights: Array[Double] = Array(
+    -0.0, 0.0, Double.NaN, java.lang.Double.longBitsToDouble(0x7ff8000000000123L), // a NaN with a payload
+    Double.PositiveInfinity, Double.NegativeInfinity, Double.MinPositiveValue, 1.5, -2.25)
+
+  def weight(v: Long): Double = specialWeights(Math.floorMod(v, specialWeights.length.toLong).toInt)
+
+  /** `x` with every Double, also inside a tuple or case class, as its raw
+    * bits, so that NaN payloads and -0.0 compare.
+    */
+  def bits(x: Any): Any = x match {
+    case d: Double  => java.lang.Double.doubleToRawLongBits(d)
+    case p: Product => (p.productPrefix, p.productIterator.map(bits).toList)
+    case other      => other
+  }
+
+  def lower(a: Edge, b: Edge): Edge = if (a.to <= b.to) a else b
+
+  def nearer(a: Relabeled, b: Relabeled): Relabeled = if (a.dst <= b.dst) a else b
 }
