@@ -30,7 +30,6 @@ object AmpcConnectivity {
       seed: Long,
       searchBudget: Int = 64,
   ): Result = CoPartitioned.run(spark) { kit =>
-    import spark.implicits._
     val weighted = kit.pairs(edges).map { case (u, v) => (u, v, Priorities.toUnit(Priorities.edgeRank(u, v, seed + 7))) }
     val c = AmpcMsf.contract(kit, weighted, seed, searchBudget)
 
@@ -38,7 +37,7 @@ object AmpcConnectivity {
     // with no contracted edge is a component of its own.
     val linked = c.contracted.flatMap(e => Seq(e._1, e._2)).distinct
     val rootComp = Reference.connectedComponents(linked, c.contracted.map(e => (e._1, e._2)))
-    val labels = c.mapping.map { case (v, root) => (v, rootComp.getOrElse(root, root)) }.toDF("id", "component")
+    val labels = kit.frame(c.mapping.map { case (v, root) => (v, rootComp.getOrElse(root, root)) }, "id", "component")
     val num = rootComp.values.toSet.size + (c.roots - linked.size)
     Result(labels, num, kit.metrics.value)
   }

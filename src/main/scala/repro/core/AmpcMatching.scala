@@ -68,8 +68,13 @@ object AmpcMatching {
     // Each vertex's incident edges by rank; grouping them was the single shuffle.
     val adj = kit.keep(adjacency.mapPartitions(
       _.map { case (v, ns) =>
-        val sorted = ns.map(u => (Priorities.edgeRank(v, u, seed), u)).sortBy { case (r, u) => (r, u) }
-        (v, EdgeAdj(sorted.map(_._1), sorted.map(_._2)))
+        val rank = ns.map(Priorities.edgeRank(v, _, seed))
+        val byRank: Ordering[Int] = { (i, j) =>
+          val c = java.lang.Long.compare(rank(i), rank(j))
+          if (c != 0) c else java.lang.Long.compare(ns(i), ns(j))
+        }
+        val order = Array.range(0, ns.length).sorted(byRank)
+        (v, EdgeAdj(order.map(rank), order.map(ns)))
       },
       preservesPartitioning = true,
     ))

@@ -138,10 +138,9 @@ object AmpcMsf {
       seed: Long,
       searchBudget: Int = 64,
   ): Result = CoPartitioned.run(spark) { kit =>
-    import spark.implicits._
     val c = contract(kit, kit.triples(weightedEdges), seed, searchBudget)
     val nContracted = c.contracted.flatMap(e => Seq(e._1, e._2)).distinct.size.toLong
-    Result(forest(kit, c), c.mapping.toDF("id", "root"), c.contracted, nContracted, kit.metrics.value)
+    Result(forest(kit, c), kit.frame(c.mapping, "id", "root"), c.contracted, nContracted, kit.metrics.value)
   }
 
   /** Steps 1–5 on `kit` over (src, dst, weight) rows. */

@@ -2,9 +2,10 @@ package repro.graphs
 
 import org.apache.spark.{HashPartitioner, TaskContext, Unpersist}
 import org.apache.spark.rdd.{RDD, ShuffledRDD}
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{DataType, DoubleType, LongType, StructField, StructType}
 import org.apache.spark.storage.StorageLevel
 import repro.ampc.{Dht, DhtRegistry, KvCache, Metrics}
 import scala.collection.mutable
@@ -135,12 +136,21 @@ private[repro] final class CoPartitioned private (spark: SparkSession) {
 
   /** `edges`' (src, dst) rows as given. */
   def pairs(edges: DataFrame): RDD[(Long, Long)] =
-    CoPartitioned.rows(edges, col("src").cast("long"), col("dst").cast("long"))(r => (r.getLong(0), r.getLong(1)))
+    CoPartitioned.rows(edges, "src" -> LongType, "dst" -> LongType)((r, at) => (r.getLong(at(0)), r.getLong(at(1))))
 
   /** `edges`' (src, dst, weight) rows as given. */
   def triples(edges: DataFrame): RDD[(Long, Long, Double)] =
-    CoPartitioned.rows(edges, col("src").cast("long"), col("dst").cast("long"), col("weight").cast("double"))(
-      r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
+    CoPartitioned.rows(edges, "src" -> LongType, "dst" -> LongType, "weight" -> DoubleType)(
+      (r, at) => (r.getLong(at(0)), r.getLong(at(1)), r.getDouble(at(2))))
+
+  /** `rows` as a DataFrame of two non-null long columns, built from an
+    * explicit schema: the tuple encoder `toDF` derives costs several times
+    * more per call.
+    */
+  def frame(rows: RDD[(Long, Long)], first: String, second: String): DataFrame =
+    spark.createDataFrame(
+      rows.map { case (a, b) => Row(a, b) },
+      StructType(Seq(first, second).map(StructField(_, LongType, nullable = false))))
 
   /** `f(key, value, table's value for the key)` for every row. This is a
     * narrow hash join: partition i of `rows` and of `table` hold the same
@@ -223,7 +233,7 @@ private[repro] object CoPartitioned {
   }
 
   /** `a`'s distinct values in ascending order (`a` is sorted in place). */
-  private def sortedDistinct(a: Array[Long]): Array[Long] = {
+  private[repro] def sortedDistinct(a: Array[Long]): Array[Long] = {
     java.util.Arrays.sort(a)
     var n = 0
     var i = 0
@@ -234,14 +244,22 @@ private[repro] object CoPartitioned {
     java.util.Arrays.copyOf(a, n)
   }
 
-  /** `cols` of `df`, each row read by `read`, without the typed `Dataset`
-    * path (its encoders and a closure Spark declares).
+  /** The named columns of `df`, each row read by `read` from the
+    * columns' ordinals, without the typed `Dataset` path (its encoders and
+    * a closure Spark declares). When every column has its type, the rows
+    * come from `df`'s own `queryExecution.toRdd`, which the Dataset plans
+    * once; otherwise from a `select` that casts the columns that differ.
     */
-  private def rows[T: ClassTag](df: DataFrame, cols: Column*)(read: InternalRow => T): RDD[T] = {
-    val names = cols.mkString(", ")
-    df.select(cols: _*).queryExecution.toRdd.mapPartitions(_.map { r =>
-      require(!r.anyNull, s"null in $names")
-      read(r)
+  private def rows[T: ClassTag](df: DataFrame, cols: (String, DataType)*)(read: (InternalRow, Array[Int]) => T): RDD[T] = {
+    val names = cols.map(_._1)
+    def typed(name: String, t: DataType) = df.schema.exists(f => f.name == name && f.dataType == t)
+    val (input, at) =
+      if (cols.forall { case (n, t) => typed(n, t) }) (df, names.map(df.schema.fieldIndex).toArray)
+      else (df.select(cols.map { case (n, t) => if (typed(n, t)) col(n) else col(n).cast(t) as n }: _*), names.indices.toArray)
+    input.queryExecution.toRdd.mapPartitions(_.map { r =>
+      var i = 0
+      while (i < at.length) { require(!r.isNullAt(at(i)), s"null in column ${names(i)}"); i += 1 }
+      read(r, at)
     })
   }
 }

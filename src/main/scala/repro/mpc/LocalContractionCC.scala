@@ -16,14 +16,21 @@ import scala.collection.mutable
   * neighbor ranks below itself, and the resulting one-hop stars contract.
   * On a cycle this about halves the edges per round (measured: 3000 →
   * 1507 → 753), less than the paper's measured 2.59–3×, at three declared
-  * shuffles per round (min-neighbor aggregation + two relabeling joins;
-  * the original-vertex label table is maintained inside the relabeling
-  * rounds). Below `localThreshold` edges the residual is finished on one
-  * machine.
+  * shuffles per round: the min-neighbor aggregation, and two relabeling
+  * shuffles, onto dst and then onto the new src. Below `localThreshold`
+  * edges the residual is finished on one machine.
   *
   * Every table is a pair RDD on [[CoPartitioned]]'s shared partitioner,
-  * so joins against the round's parent table are narrow, and a round runs
-  * one Spark action: the edge count that feeds the trajectory.
+  * so joins against the round's parent table are narrow. A round's table
+  * holds the current edges keyed by src and the label rows (supervertex →
+  * original vertex) keyed by supervertex, told apart by a tag. The label
+  * rows move to their new supervertex inside the third shuffle, with the
+  * edges deduplicated onto their new src; the first round takes them from
+  * the parent table, whose keys are every vertex of the input graph. So
+  * Spark runs one shuffle stage per declared shuffle, plus the one that
+  * keys the input, and a round runs one Spark action: the edge count that
+  * feeds the trajectory. The finish reads the residual edges and the
+  * supervertices in one more, which also stores the label table it returns.
   */
 object LocalContractionCC {
 
@@ -37,9 +44,31 @@ object LocalContractionCC {
       metrics: RunMetrics,
   )
 
+  /** A row of a round's table: an edge (src, (dst, false)) or a label
+    * (supervertex, (original vertex, true)).
+    */
+  private type Tagged = (Long, (Long, Boolean))
+
   /** The (rank, id)-smaller of two vertices under this round's ranks. */
   private def lower(roundSeed: Long)(a: Long, b: Long): Long =
     if (precedes(vertexRank(b, roundSeed), b, vertexRank(a, roundSeed), a)) b else a
+
+  private def edgesOf(table: RDD[Tagged]): RDD[(Long, Long)] =
+    table.mapPartitions(_.collect { case (u, (v, false)) => (u, v) }, preservesPartitioning = true)
+
+  private def labelsOf(table: RDD[Tagged]): RDD[(Long, Long)] =
+    table.mapPartitions(_.collect { case (s, (orig, true)) => (s, orig) }, preservesPartitioning = true)
+
+  /** A partition of the next round's table from the rows shuffle 3 moved
+    * there: each src's distinct dsts in ascending order, then the labels.
+    */
+  private def nextTable(rows: Iterator[Tagged]): Iterator[Tagged] = {
+    val dsts = mutable.LongMap.empty[mutable.ArrayBuilder.ofLong]
+    val labels = mutable.ArrayBuffer.empty[Tagged]
+    rows.foreach { r => if (r._2._2) labels += r else dsts.getOrElseUpdate(r._1, new mutable.ArrayBuilder.ofLong) += r._2._1 }
+    dsts.iterator.flatMap { case (u, vs) => CoPartitioned.sortedDistinct(vs.result()).iterator.map(v => (u, (v, false))) } ++
+      labels.iterator
+  }
 
   def run(
       spark: SparkSession,
@@ -48,16 +77,12 @@ object LocalContractionCC {
       localThreshold: Long = 2048,
       maxRounds: Int = 200,
   ): Result = CoPartitioned.run(spark) { kit =>
-    import spark.implicits._
-    // The kit holds every round's edges and parents until the finish has
-    // materialized the label table (which reads all the parents).
+    // The kit holds every round's table and parents until the finish has
+    // stored the label table it returns.
     import kit.{checkpoint, reduced, shuffled, withParents}
     val metrics = kit.metrics
-    // Current graph keyed by src (the input rows as given until the first round dedups).
-    var cur = checkpoint(shuffled(kit.pairs(edges)))
-    // current supervertex -> orig, built lazily across the rounds
-    var labels: RDD[(Long, Long)] =
-      reduced(cur.flatMap { case (u, v) => Iterator((u, u), (v, v)) })((a, _) => a)
+    // The input rows as given, keyed by src: the first round dedups them.
+    var cur: RDD[Tagged] = checkpoint(shuffled(kit.pairs(edges)).mapValues((_, false)))
 
     var rounds = 0
     var done = false
@@ -65,46 +90,56 @@ object LocalContractionCC {
     var finalLabels: DataFrame = null
     var num = 0L
     while (!done) {
-      val edgeCount = kit.count(cur)
+      val edgeCount = kit.count(edgesOf(cur))
       traj += edgeCount
       if (edgeCount <= localThreshold) {
-        // In-memory finish: union-find over the residual supergraph.
-        val rest = kit.collect(cur)
-        labels = kit.lasting(labels)
-        // Partitioned by supervertex, so a per-partition distinct is global.
-        val supervertices = kit.collect(labels.mapPartitions(_.map(_._1).distinct))
-        val roots = (rest.flatMap(e => Seq(e._1, e._2)).toSeq ++ supervertices.toSeq).distinct
-        val compOf = Reference.connectedComponents(roots, rest.toSeq) // small by construction
-        finalLabels = labels
-          .map { case (curV, orig) => (orig, compOf.getOrElse(curV, curV)) }
-          .toDF("id", "component")
-        // The components the labels take, counted on the driver.
-        num = supervertices.iterator.map(v => compOf.getOrElse(v, v)).toSet.size.toLong
+        // In-memory finish: union-find over the residual supergraph. One
+        // job reads its edges and its supervertices (the label table is
+        // partitioned by supervertex, so a per-partition distinct is
+        // global) and stores the label table.
+        val labels = kit.lasting(labelsOf(cur))
+        val parts = kit.perPartition(edgesOf(cur).zipPartitions(labels) { (es, ls) =>
+          Iterator.single((es.toArray, ls.map(_._1).distinct.toArray))
+        })(_.next())
+        val rest = parts.toSeq.flatMap(_._1)
+        // Before the first round every vertex is its own supervertex.
+        val roots = (rest.flatMap(e => Seq(e._1, e._2)) ++ parts.toSeq.flatMap(_._2)).distinct
+        val compOf = Reference.connectedComponents(roots, rest) // small by construction
+        val labelRows =
+          if (rounds == 0) spark.sparkContext.parallelize(roots.map(v => (v, compOf(v))))
+          else labels.map { case (s, orig) => (orig, compOf(s)) }
+        finalLabels = kit.frame(labelRows, "id", "component")
+        num = compOf.values.toSet.size.toLong
         done = true
       } else {
         require(rounds < maxRounds, s"no local finish within $maxRounds rounds")
         rounds += 1
+        val es = edgesOf(cur)
         // Shuffle 1: hang every vertex onto its minimum-*rank* neighbor
         // (fresh random ranks each round, as the hashed priorities of
         // the real implementation — raw ids would stall on
         // sequentially-numbered cycles).
         val low = lower(splitmix64(seed ^ (7000L + rounds))) _
         metrics.shuffle(2 * edgeCount * GraphOps.EdgeBytes)
-        val parents = kit.keep(reduced(cur.flatMap { case (u, v) => Iterator((u, v), (v, u)) })(low)
+        val parents = kit.keep(reduced(es.flatMap { case (u, v) => Iterator((u, v), (v, u)) })(low)
           .mapPartitions(_.map { case (v, best) => (v, low(v, best)) }, preservesPartitioning = true))
 
         // Shuffle 2: relabel src (a narrow join), then move each edge to its dst.
         metrics.shuffle(edgeCount * GraphOps.EdgeBytes)
-        val byDst = shuffled(withParents(cur, parents)((v, pu) => Some((v, pu))))
+        val byDst = shuffled(withParents(es, parents)((v, pu) => Some((v, pu))))
 
-        // Shuffle 3: relabel dst (narrow again), drop loops, dedup and key
-        // by the new src, ready for the next round.
+        // Shuffle 3: relabel dst (narrow again), drop loops, and move each
+        // edge to its new src, where it is deduplicated. Each label row
+        // moves to its new supervertex in the same shuffle; the first
+        // round labels every vertex of the graph, a key of the parent table.
         metrics.shuffle(edgeCount * GraphOps.EdgeBytes)
         val relabeled = withParents(byDst, parents) { (pu, pv) =>
-          if (pu == pv) None else Some((math.min(pu, pv), math.max(pu, pv)))
+          if (pu == pv) None else Some((math.min(pu, pv), (math.max(pu, pv), false)))
         }
-        cur = checkpoint(kit.grouped(relabeled).flatMapValues(_.iterator))
-        labels = shuffled(withParents(labels, parents)((orig, p) => Some((p, orig))))
+        val relabels =
+          if (rounds == 1) parents.map { case (v, p) => (p, (v, true)) }
+          else withParents(labelsOf(cur), parents)((orig, p) => Some((p, (orig, true))))
+        cur = checkpoint(shuffled(relabeled.zipPartitions(relabels)(_ ++ _)).mapPartitions(nextTable, preservesPartitioning = true))
       }
     }
     Result(finalLabels, num, rounds, traj.toSeq, metrics.value)

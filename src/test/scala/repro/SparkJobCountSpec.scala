@@ -139,18 +139,20 @@ class SparkJobCountSpec extends SparkSpec {
     assert(twoCycle <= 2, s"2-Cycle $twoCycle jobs")
   }
 
-  test("LocalContractionCC runs at most 8 Spark jobs") {
-    val g = cycles
-    val cc = jobsOf(LocalContractionCC.run(spark, g, 4, localThreshold = 64))
-    assert(cc <= 8, s"LocalContractionCC $cc jobs")
+  private lazy val contraction = observe(LocalContractionCC.run(spark, cycles, 4, localThreshold = 64))
+
+  // One count per round and one to find the graph small, then the finish,
+  // which reads the residual edges and supervertices and stores the labels.
+  test("LocalContractionCC runs at most one Spark job per round plus 2") {
+    val cc = contraction
+    assert(cc.result.rounds > 1 && cc.jobs <= cc.result.rounds + 2, s"${cc.jobs} jobs in ${cc.result.rounds} rounds")
   }
 
-  // The pair-RDD rounds shuffle four times each (parents, dst, dedup, label
-  // table), plus twice to set up the edges and the label table.
-  test("LocalContractionCC writes shuffle data in at most 4 stages per round plus 2") {
-    val g = cycles
-    val cc = observe(LocalContractionCC.run(spark, g, 4, localThreshold = 64))
-    assert(cc.shuffleStages <= 4 * cc.result.rounds + 2, s"${cc.shuffleStages} shuffle stages in ${cc.result.rounds} rounds")
+  // Each declared shuffle (parents, dst, dedup with the label rows) writes
+  // in one stage, plus the one that keys the input by src.
+  test("LocalContractionCC writes shuffle data in at most 3 stages per round plus 1") {
+    val cc = contraction
+    assert(cc.shuffleStages <= 3 * cc.result.rounds + 1, s"${cc.shuffleStages} shuffle stages in ${cc.result.rounds} rounds")
   }
 
   /** The three rootset and Boruvka baselines with no in-memory finish, so

@@ -1,9 +1,12 @@
 package repro.graphs
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
-import org.apache.spark.{HashPartitioner, ShuffleDependency}
+import org.apache.spark.{HashPartitioner, ShuffleDependency, SparkException}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.serializer.JavaSerializer
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{DataType, DoubleType, IntegerType, LongType, StructField, StructType}
 import org.scalacheck.{Arbitrary, Gen, Prop, Test}
 import org.scalacheck.Prop.{forAllNoShrink, propBoolean}
 import repro.SparkSpec
@@ -206,6 +209,62 @@ class CoPartitionedSpec extends SparkSpec {
         collected :| "collect" && counted :| "count"
       }
     }
+  }
+
+  private val weightedRows = Seq((1L, 2L, 0.5), (3L, 1L, -1.5), (2L, 2L, 2.0), (-4L, 7L, 0.0), (1L, 2L, 0.5))
+
+  private def weightedFrame: DataFrame = {
+    import spark.implicits._
+    weightedRows.toDF("src", "dst", "weight")
+  }
+
+  // Read by ordinal from the DataFrame's own rows when the types match
+  // (also with the columns in another order), through a cast otherwise.
+  test("pairs and triples read the same rows from Long and Int src and dst columns") {
+    val longs = weightedFrame
+    val frames = Seq(
+      "Long columns" -> longs,
+      "Long columns in another order" -> longs.select("weight", "dst", "src"),
+      "Int columns, a Float weight" ->
+        longs.select(col("src").cast("int") as "src", col("dst").cast("int") as "dst", col("weight").cast("float") as "weight"),
+    )
+    CoPartitioned.run(spark) { kit =>
+      for ((name, df) <- frames) {
+        assert(kit.collect(kit.pairs(df)).toSeq.sorted == weightedRows.map(r => (r._1, r._2)).sorted, name)
+        assert(kit.collect(kit.triples(df)).toSeq.sorted == weightedRows.sorted, name)
+      }
+    }
+  }
+
+  test("a null in a read column throws, naming the column") {
+    def frame(t: DataType, rows: Row*): DataFrame = spark.createDataFrame(
+      java.util.Arrays.asList(rows: _*),
+      StructType(Seq(StructField("src", t), StructField("dst", t), StructField("weight", DoubleType))))
+    val nullDst = frame(LongType, Row(1L, 2L, 1.0), Row(3L, null, 1.0))
+    val nullSrc = frame(IntegerType, Row(1, 2, 1.0), Row(null, 4, 1.0))
+    val nullWeight = frame(LongType, Row(1L, 2L, 1.0), Row(3L, 4L, null))
+    CoPartitioned.run(spark) { kit =>
+      for ((name, read) <- Seq[(String, () => Array[_])](
+          "dst" -> (() => kit.collect(kit.pairs(nullDst))),
+          "src" -> (() => kit.collect(kit.pairs(nullSrc))),
+          "weight" -> (() => kit.collect(kit.triples(nullWeight))),
+        )) {
+        val e = intercept[SparkException](read())
+        assert(e.getMessage.contains(s"null in column $name"), e.getMessage)
+      }
+      // A column the read does not take may hold a null.
+      assert(kit.collect(kit.pairs(nullWeight)).toSeq == Seq((1L, 2L), (3L, 4L)))
+    }
+  }
+
+  test("reading one DataFrame twice gives the same rows") {
+    val df = weightedFrame
+    val runs = Seq.fill(2)(CoPartitioned.run(spark) { kit =>
+      (kit.collect(kit.pairs(df)).toSeq, kit.collect(kit.pairs(df)).toSeq, kit.collect(kit.triples(df)).toSeq)
+    })
+    assert(runs.distinct.size == 1)
+    val (pairs, again, triples) = runs.head
+    assert(pairs == again && pairs.sorted == weightedRows.map(r => (r._1, r._2)).sorted && triples.sorted == weightedRows.sorted)
   }
 
   // The DHT is one JVM's memory, so the scope hands out a store only
