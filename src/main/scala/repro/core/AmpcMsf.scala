@@ -48,12 +48,13 @@ final case class SearchOut(kind: Int, a: Long, b: Long, w: Double)
   *     same).
   *
   * Every table is a pair RDD on the [[CoPartitioned]] kit, and a run takes
-  * four Spark jobs: steps 1, 2–3 (the parents are written in the job that
-  * combines them), 4–5 (the mapping is a map over the DHT, so the engine
-  * sees four shuffles for the five declared), and the collect of the
-  * searches' MSF edges. Steps 1–5 (`contract`) and step 6 (`forest`) run
-  * on the caller's kit, so `KktMsf` runs both inside its own scope, and
-  * `AmpcConnectivity` runs only the first.
+  * three Spark jobs: steps 1, 2–3 (the parents are written in the job that
+  * combines them), and 4–5 (the mapping is a map over the DHT, so the engine
+  * sees four shuffles for the five declared), which also collects the
+  * searches' MSF edges. The contracted rows and the MSF are collected as
+  * primitive columns. Steps 1–5 (`contract`) run on the caller's kit and
+  * step 6 (`forest`) in memory, so `KktMsf` runs both inside its own scope,
+  * and `AmpcConnectivity` runs only the first.
   *
   * The paper found one search round (without ternarization) shrinks the
   * graph enough in practice; `Ternarize` + this routine compose into the
@@ -63,26 +64,93 @@ object AmpcMsf {
 
   final case class Result(
       /** Canonical (src, dst, weight) MSF edges with original endpoints. */
-      msf: Seq[(Long, Long, Double)],
+      msf: IndexedSeq[(Long, Long, Double)],
       /** Contraction mapping: vertex → tree root. */
       mapping: DataFrame,
       /** Contracted graph edges as (rootU, rootV) with original info. */
-      contracted: Seq[(Long, Long, Long, Long, Double)],
+      contracted: IndexedSeq[(Long, Long, Long, Long, Double)],
       nContracted: Long,
       metrics: RunMetrics,
   )
 
   /** A contraction on a kit: the mapping (vertex → root), the contracted
-    * rows as in [[Result]], the number of input rows and of roots (the
-    * vertices no search gave a parent), and the kept search output.
+    * graph, the number of input rows and of roots (the vertices no search
+    * gave a parent), and the MSF edges the searches found (an edge once per
+    * search that found it).
     */
   private[core] final case class Contraction(
       mapping: RDD[(Long, Long)],
-      contracted: Seq[(Long, Long, Long, Long, Double)],
+      contracted: Contracted,
       edges: Long,
       roots: Long,
-      searches: RDD[SearchOut],
+      found: Edges,
   )
+
+  /** Weighted edges as columns: edge i is (`a(i)`, `b(i)`, `w(i)`). */
+  private[core] final case class Edges(a: Array[Long], b: Array[Long], w: Array[Double]) {
+    def size: Int = w.length
+
+    def rows: IndexedSeq[(Long, Long, Double)] = new Columns(size, i => (a(i), b(i), w(i)))
+  }
+
+  private[core] object Edges {
+    def concat(es: Seq[Edges]): Edges = Edges(Array.concat(es.map(_.a): _*), Array.concat(es.map(_.b): _*), Array.concat(es.map(_.w): _*))
+  }
+
+  /** Collects edges into [[Edges]]. */
+  private final class EdgeBuilder {
+    private val (a, b, w) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofDouble)
+    def add(x: Long, y: Long, wt: Double): Unit = { a += x; b += y; w += wt }
+    def result(): Edges = Edges(a.result(), b.result(), w.result())
+  }
+
+  /** The contracted graph: row i joins the roots `cu(i) < cv(i)` by the
+    * lightest input row between them, `edges` row i as (src, dst, weight).
+    */
+  private[core] final case class Contracted(cu: Array[Long], cv: Array[Long], edges: Edges) {
+    def rows: IndexedSeq[(Long, Long, Long, Long, Double)] =
+      new Columns(cu.length, i => (cu(i), cv(i), edges.a(i), edges.b(i), edges.w(i)))
+
+    /** The roots some row joins, ascending. */
+    lazy val linked: Array[Long] = CoPartitioned.sortedDistinct(Array.concat(cu, cv))
+  }
+
+  private[core] object Contracted {
+    def concat(cs: Seq[Contracted]): Contracted =
+      Contracted(Array.concat(cs.map(_.cu): _*), Array.concat(cs.map(_.cv): _*), Edges.concat(cs.map(_.edges)))
+  }
+
+  /** A union-find over roots held as dense ints: root `ids(i)` (ascending)
+    * is element i. A union hangs the larger element under the smaller, so
+    * the representative of a set is its smallest root.
+    */
+  private[core] final class RootUnion(val ids: Array[Long]) {
+    private val parent = Array.range(0, ids.length)
+
+    private def find(e: Int): Int = {
+      var i = e
+      while (parent(i) != i) { parent(i) = parent(parent(i)); i = parent(i) }
+      i
+    }
+
+    /** Joins the sets of two roots in [[ids]]; true iff they were apart. */
+    def union(x: Long, y: Long): Boolean = {
+      val i = find(java.util.Arrays.binarySearch(ids, x))
+      val j = find(java.util.Arrays.binarySearch(ids, y))
+      if (i != j) parent(math.max(i, j)) = math.min(i, j)
+      i != j
+    }
+
+    /** The smallest root of each element's set, by element. */
+    def smallest(): Array[Long] = Array.tabulate(ids.length)(i => ids(find(i)))
+  }
+
+  /** `length` rows, each built on read by `row` from the arrays it reads:
+    * a held result keeps the arrays, not a tuple per row.
+    */
+  private final class Columns[A](val length: Int, row: Int => A) extends collection.immutable.AbstractSeq[A] with IndexedSeq[A] {
+    def apply(i: Int): A = row(i)
+  }
 
   /** One incident edge of a vertex as shuffled: the neighbor, the weight,
     * and whether the input row named this vertex as its src. Its codec
@@ -116,13 +184,15 @@ object AmpcMsf {
     }
   }
 
-  /** The arcs of `v` by (weight, canonical endpoints): Prim's pop order. */
-  private def byWeightAt(v: Long): Ordering[Arc] = { (a, b) =>
-    val c = java.lang.Double.compare(a.w, b.w)
+  /** Edges (w, lo, hi) by weight, then canonical endpoints: Prim's and
+    * Kruskal's order.
+    */
+  private[core] def byWeight(w1: Double, lo1: Long, hi1: Long, w2: Double, lo2: Long, hi2: Long): Int = {
+    val c = java.lang.Double.compare(w1, w2)
     if (c != 0) c
     else {
-      val lo = java.lang.Long.compare(math.min(v, a.to), math.min(v, b.to))
-      if (lo != 0) lo else java.lang.Long.compare(math.max(v, a.to), math.max(v, b.to))
+      val lo = java.lang.Long.compare(lo1, lo2)
+      if (lo != 0) lo else java.lang.Long.compare(hi1, hi2)
     }
   }
 
@@ -139,11 +209,10 @@ object AmpcMsf {
       searchBudget: Int = 64,
   ): Result = CoPartitioned.run(spark) { kit =>
     val c = contract(kit, kit.triples(weightedEdges), seed, searchBudget)
-    val nContracted = c.contracted.flatMap(e => Seq(e._1, e._2)).distinct.size.toLong
-    Result(forest(kit, c), kit.frame(c.mapping, "id", "root"), c.contracted, nContracted, kit.metrics.value)
+    Result(forest(c).rows, kit.frame(c.mapping, "id", "root"), c.contracted.rows, c.contracted.linked.length.toLong, kit.metrics.value)
   }
 
-  /** Steps 1–5 on `kit` over (src, dst, weight) rows. */
+  /** Steps 1–5 on `kit` over (src, dst, weight) rows, in three Spark jobs. */
   private[core] def contract(kit: CoPartitioned, triples: RDD[(Long, Long, Double)], seed: Long, searchBudget: Int): Contraction = {
     val metrics = kit.metrics
     val adjDht = kit.dht[WeightAdj]("msf-adj")
@@ -153,17 +222,7 @@ object AmpcMsf {
     // vertices and sums their degrees to 2m.
     val rows = kit.keep(kit.shuffled(triples.flatMap { case (u, v, w) =>
       Iterator((u, Arc(v, w, out = true)), (v, Arc(u, w, out = false)))
-    }).mapPartitions(
-      { it =>
-        val arcs = mutable.LongMap.empty[mutable.ArrayBuffer[Arc]]
-        it.foreach { case (v, a) => arcs.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += a }
-        arcs.iterator.map { case (v, as) =>
-          val sorted = as.sorted(byWeightAt(v))
-          (v, Incident(WeightAdj(sorted.map(_.to).toArray, sorted.map(_.w).toArray), sorted.map(_.out).toArray))
-        }
-      },
-      preservesPartitioning = true,
-    ))
+    }).mapPartitions(sortGraph, preservesPartitioning = true))
     val (nVertices, twoM, _) = AmpcRound.write(kit, rows.mapValues(_.adj), adjDht, 16)(_.length)
     val m = twoM / 2
     metrics.shuffle(2 * m * GraphOps.WeightedEdgeBytes)
@@ -205,22 +264,67 @@ object AmpcMsf {
       val rv = root.get
       Option.when(e.root != rv)(((math.min(e.root, rv), math.max(e.root, rv)), e))
     }
-    val contracted = kit.collect(kit.reduced(crossing)(lighter)).toSeq.map { case ((cu, cv), e) => (cu, cv, e.src, e.dst, e.w) }
-    Contraction(mapping, contracted, m, nVertices - children, searchOut)
+    // The same job collects, partition by partition, the kept rows and the
+    // MSF edges of the kept searches, both as columns.
+    val parts = kit.perPartition(kit.reduced(crossing)(lighter).zipPartitions(searchOut) { (kept, outs) =>
+      val (cu, cv, edges, found) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong, new EdgeBuilder, new EdgeBuilder)
+      kept.foreach { case ((u, v), e) => cu += u; cv += v; edges.add(e.src, e.dst, e.w) }
+      outs.foreach(o => if (o.kind == 0) found.add(o.a, o.b, o.w))
+      Iterator.single((Contracted(cu.result(), cv.result(), edges.result()), found.result()))
+    })(_.next()).toSeq
+    Contraction(mapping, Contracted.concat(parts.map(_._1)), m, nVertices - children, Edges.concat(parts.map(_._2)))
+  }
+
+  /** SortGraph's rows of one partition: each vertex's arcs in Prim's pop
+    * order, (weight, canonical endpoints), with their `out` flags. The arcs
+    * land in columns, each tagged with its vertex's slot in first-seen
+    * order, and one stable index sort groups them by slot and orders each
+    * group. Rows come out in the slot map's order: `PointerJump`'s memo
+    * makes the lookup counts depend on the order of the rows.
+    */
+  private def sortGraph(arcs: Iterator[(Long, Arc)]): Iterator[(Long, Incident)] = {
+    val slot = mutable.LongMap.empty[Int]
+    val (at, to, w, out) = (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofDouble, new mutable.ArrayBuilder.ofBoolean)
+    arcs.foreach { case (v, a) => at += slot.getOrElseUpdate(v, slot.size); to += a.to; w += a.w; out += a.out }
+    val (s, ts, ws, os) = (at.result(), to.result(), w.result(), out.result())
+    val vertex = new Array[Long](slot.size)
+    slot.foreachEntry((v, i) => vertex(i) = v)
+    val start = new Array[Int](slot.size + 1)
+    for (k <- s.indices) start(s(k) + 1) += 1
+    for (i <- 1 to slot.size) start(i) += start(i - 1)
+    val order = CoPartitioned.indexSort(s.length) { (i, j) =>
+      if (s(i) != s(j)) Integer.compare(s(i), s(j))
+      else {
+        val v = vertex(s(i))
+        byWeight(ws(i), math.min(v, ts(i)), math.max(v, ts(i)), ws(j), math.min(v, ts(j)), math.max(v, ts(j)))
+      }
+    }
+    slot.iterator.map { case (v, i) =>
+      val n = start(i + 1) - start(i)
+      val (nbrs, wts, outs) = (new Array[Long](n), new Array[Double](n), new Array[Boolean](n))
+      var k = 0
+      while (k < n) { val a = order(start(i) + k); nbrs(k) = ts(a); wts(k) = ws(a); outs(k) = os(a); k += 1 }
+      (v, Incident(WeightAdj(nbrs, wts), outs))
+    }
   }
 
   /** Step 6: the MSF of a contraction's input, with original endpoints —
-    * the searches' edges and Kruskal's on the contracted graph, keyed by
-    * roots.
+    * the searches' edges, then Kruskal's on the contracted graph keyed by
+    * roots, each edge once, at its first place.
     */
-  private[core] def forest(kit: CoPartitioned, c: Contraction): Seq[(Long, Long, Double)] = {
-    val uf = new Reference.UnionFind()
-    val extra = c.contracted
-      .sortBy { case (_, _, s, d, w) => (w, math.min(s, d), math.max(s, d)) }
-      .filter { case (cu, cv, _, _, _) => uf.union(cu, cv) }
-      .map { case (_, _, s, d, w) => (math.min(s, d), math.max(s, d), w) }
-    val primEdges = kit.collect(c.searches.flatMap(e => Option.when(e.kind == 0)((e.a, e.b, e.w)))).toSeq
-    (primEdges ++ extra).distinct
+  private[core] def forest(c: Contraction): Edges = {
+    val k = c.contracted
+    val (src, dst, w) = (k.edges.a, k.edges.b, k.edges.w)
+    def lo(i: Int) = math.min(src(i), dst(i))
+    def hi(i: Int) = math.max(src(i), dst(i))
+    val uf = new RootUnion(k.linked)
+    val seen = mutable.HashSet.empty[(Long, Long, Double)]
+    val msf = new EdgeBuilder
+    def add(a: Long, b: Long, w: Double): Unit = if (seen.add((a, b, w))) msf.add(a, b, w)
+    for (i <- 0 until c.found.size) add(c.found.a(i), c.found.b(i), c.found.w(i))
+    for (i <- CoPartitioned.indexSort(w.length)((i, j) => byWeight(w(i), lo(i), hi(i), w(j), lo(j), hi(j))))
+      if (uf.union(k.cu(i), k.cv(i))) add(lo(i), hi(i), w(i))
+    msf.result()
   }
 }
 
@@ -230,6 +334,13 @@ object TruncatedPrim {
   /** Run Prim's algorithm from `v` over the DHT-resident adjacency.
     * Emits one [[SearchOut]] per discovered MSF edge (kind 0) and one per
     * visited strictly-lower-priority vertex (kind 1, (visited, v)).
+    *
+    * Every adjacency is in Prim's pop order ([[WeightAdj]]), so the
+    * frontier keeps one cursor per expanded vertex, at its lightest arc not
+    * yet taken, in a min-heap by that arc: the cursors' arcs pop in the
+    * order a heap of every arc would pop them. An arc into a visited vertex
+    * is skipped when it reaches the top. Two arcs compare equal only as
+    * parallel copies of one edge, which share their target.
     */
   def search(
       v: Long,
@@ -240,33 +351,20 @@ object TruncatedPrim {
       visitBudget: Int,
   ): Iterator[SearchOut] = {
     val vRank = Priorities.vertexRank(v, seed)
-    val out = scala.collection.mutable.ArrayBuffer.empty[SearchOut]
-    val visited = scala.collection.mutable.Set(v)
-    // Min-heap on (w, canonical endpoints).
-    implicit val ord: Ordering[(Double, Long, Long, Long, Long)] =
-      Ordering
-        .Tuple3[Double, Long, Long](Ordering.Double.TotalOrdering, Ordering.Long, Ordering.Long)
-        .on[(Double, Long, Long, Long, Long)] { case (w, cu, cv, _, _) => (w, cu, cv) }
-        .reverse
-    val pq = scala.collection.mutable.PriorityQueue.empty[(Double, Long, Long, Long, Long)]
-    def push(from: Long, a: WeightAdj): Unit = {
-      var i = 0
-      while (i < a.length) {
-        val to = a.nbrs(i)
-        if (!visited(to)) {
-          pq.enqueue((a.ws(i), math.min(from, to), math.max(from, to), from, to))
-        }
-        i += 1
-      }
-    }
-    push(v, adjV)
+    val out = mutable.ArrayBuffer.empty[SearchOut]
+    val visited = mutable.LongMap.empty[Unit]
+    visited(v) = ()
+    val frontier = new Frontier
+    frontier.add(v, adjV)
     var depth = 0
     var stop = false
-    while (!stop && pq.nonEmpty) {
-      val (w, cu, cv, _, to) = pq.dequeue()
-      if (!visited(to)) {
-        visited += to
-        out += SearchOut(0, cu, cv, w)
+    while (!stop && frontier.nonEmpty) {
+      val to = frontier.to
+      if (visited.contains(to)) frontier.next()
+      else {
+        visited(to) = ()
+        out += SearchOut(0, math.min(frontier.from, to), math.max(frontier.from, to), frontier.w)
+        frontier.next()
         val toRank = Priorities.vertexRank(to, seed)
         if (Priorities.precedes(toRank, to, vRank, v)) {
           stop = true // stopping rule (3): reached a higher-priority vertex
@@ -275,13 +373,71 @@ object TruncatedPrim {
           if (visited.size > visitBudget) stop = true // rule (1): truncation
           else {
             depth += 1
-            push(to, dht.require(to))
+            frontier.add(to, dht.require(to))
           }
         }
       }
-    } // rule (2): queue exhausted — component fully explored
+    } // rule (2): frontier exhausted — component fully explored
     metrics.chain(depth.toLong)
     out.iterator
+  }
+
+  /** Prim's frontier: per expanded vertex a slot with its adjacency and a
+    * cursor into it, and a binary min-heap of the slots by the arc under
+    * their cursor, compared by hand as [[AmpcMsf.byWeight]].
+    */
+  private final class Frontier {
+    private var owner = new Array[Long](8)
+    private var adj = new Array[WeightAdj](8)
+    private var at = new Array[Int](8)
+    private var heap = new Array[Int](8)
+    private var slots = 0
+    private var size = 0
+
+    def nonEmpty: Boolean = size > 0
+
+    /** The top arc's source, target and weight. */
+    def from: Long = owner(heap(0))
+    def to: Long = adj(heap(0)).nbrs(at(heap(0)))
+    def w: Double = adj(heap(0)).ws(at(heap(0)))
+
+    /** Adds `a`, the adjacency of `u`, at its lightest arc. */
+    def add(u: Long, a: WeightAdj): Unit = if (a.length > 0) {
+      if (slots == owner.length) {
+        val n = 2 * slots
+        owner = java.util.Arrays.copyOf(owner, n); adj = java.util.Arrays.copyOf(adj, n)
+        at = java.util.Arrays.copyOf(at, n); heap = java.util.Arrays.copyOf(heap, n)
+      }
+      owner(slots) = u; adj(slots) = a
+      heap(size) = slots
+      slots += 1; size += 1
+      var i = size - 1
+      while (i > 0 && less(heap(i), heap((i - 1) / 2))) { swap(i, (i - 1) / 2); i = (i - 1) / 2 }
+    }
+
+    /** Moves the top cursor past its arc; a slot whose arcs are all taken leaves the heap. */
+    def next(): Unit = {
+      val s = heap(0)
+      at(s) += 1
+      if (at(s) == adj(s).length) { size -= 1; heap(0) = heap(size) }
+      var i = 0
+      var done = false
+      while (!done) {
+        val l = 2 * i + 1
+        val c = if (l + 1 < size && less(heap(l + 1), heap(l))) l + 1 else l
+        if (c < size && less(heap(c), heap(i))) { swap(i, c); i = c } else done = true
+      }
+    }
+
+    private def less(s: Int, t: Int): Boolean = {
+      val ts = adj(s).nbrs(at(s))
+      val tt = adj(t).nbrs(at(t))
+      AmpcMsf.byWeight(
+        adj(s).ws(at(s)), math.min(owner(s), ts), math.max(owner(s), ts),
+        adj(t).ws(at(t)), math.min(owner(t), tt), math.max(owner(t), tt)) < 0
+    }
+
+    private def swap(i: Int, j: Int): Unit = { val x = heap(i); heap(i) = heap(j); heap(j) = x }
   }
 }
 

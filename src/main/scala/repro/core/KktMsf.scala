@@ -87,8 +87,8 @@ object KktMsf {
       val p = 1.0 / math.max(2.0, math.log(m.toDouble) / math.log(2.0))
       val sample = edges.filter { case (u, v, _) => Priorities.toUnit(Priorities.edgeRank(u, v, seed + 13)) < p }
       val f = AmpcMsf.contract(kit, sample, seed, searchBudget)
-      val light = AmpcMsf.contract(kit, FLightEdges.classify(kit, edges, AmpcMsf.forest(kit, f)), seed + 1, searchBudget)
-      Result(AmpcMsf.forest(kit, light), f.edges, light.edges, kit.metrics.value)
+      val light = AmpcMsf.contract(kit, FLightEdges.classify(kit, edges, AmpcMsf.forest(f).rows), seed + 1, searchBudget)
+      Result(AmpcMsf.forest(light).rows, f.edges, light.edges, kit.metrics.value)
     }
   }
 }

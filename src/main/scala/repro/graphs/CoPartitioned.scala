@@ -244,6 +244,34 @@ private[repro] object CoPartitioned {
     java.util.Arrays.copyOf(a, n)
   }
 
+  /** `0 until n` sorted stably by `cmp` over indices: a bottom-up merge
+    * sort on primitive ints, so no index or key is boxed.
+    */
+  private[repro] def indexSort(n: Int)(cmp: (Int, Int) => Int): Array[Int] = {
+    var a = Array.range(0, n)
+    var b = new Array[Int](n)
+    var width = 1
+    while (width < n) {
+      var lo = 0
+      while (lo < n) {
+        val mid = math.min(lo + width, n)
+        val hi = math.min(lo + 2 * width, n)
+        var i = lo
+        var j = mid
+        var k = lo
+        while (k < hi) {
+          if (j >= hi || i < mid && cmp(a(i), a(j)) <= 0) { b(k) = a(i); i += 1 }
+          else { b(k) = a(j); j += 1 }
+          k += 1
+        }
+        lo = hi
+      }
+      val t = a; a = b; b = t
+      width *= 2
+    }
+    a
+  }
+
   /** The named columns of `df`, each row read by `read` from the
     * columns' ordinals, without the typed `Dataset` path (its encoders and
     * a closure Spark declares). When every column has its type, the rows

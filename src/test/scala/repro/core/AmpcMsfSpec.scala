@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
-import repro.graphs.GraphOps
+import repro.graphs.{GraphGen, GraphOps}
 import repro.ref.Reference
 
 class AmpcMsfSpec extends SparkSpec {
@@ -141,6 +141,41 @@ class TruncatedPrimSpec extends SparkSpec {
     val out = runSearch(edges, v, seed = 1, budget = 4)
     assert(out.count(_.kind == 1) <= 5)
   }
+
+  /** From every vertex at budgets 1, 4, 64 and n, the cursor search emits
+    * what the all-arcs oracle emits, element by element, with the same
+    * lookups, lookup bytes and chain depth.
+    */
+  private def sameAsAllArcs(name: String, edges: => Seq[(Long, Long, Double)], seed: Long): Unit =
+    test(s"the cursor search equals the all-arcs search: $name") {
+      val adj = adjOf(edges)
+      val store = repro.ampc.DhtRegistry.create[WeightAdj]("tp-eq", new repro.ampc.Metrics)
+      adj.foreach { case (k, a) => store.put(k, a, 16 * a.length + 8) }
+      def counted(search: (repro.ampc.Dht[WeightAdj], repro.ampc.Metrics) => Iterator[SearchOut]) = {
+        val metrics = new repro.ampc.Metrics
+        val out = search(new repro.ampc.Dht[WeightAdj](store.id, metrics), metrics).toVector
+        (out, metrics.value.kvQueries, metrics.value.kvReadBytes, metrics.value.maxChainDepth)
+      }
+      try
+        for (budget <- Seq(1, 4, 64, adj.size); v <- adj.keys.toSeq.sorted) {
+          val got = counted(TruncatedPrim.search(v, adj(v), seed, _, _, budget))
+          val want = counted(AllArcsPrim.search(v, adj(v), seed, _, _, budget))
+          assert(got == want, s"from $v at budget $budget")
+        }
+      finally store.close()
+    }
+
+  sameAsAllArcs("R-MAT with degree weights (tied weights)",
+    GraphOps.collectWeighted(GraphOps.withDegreeWeights(GraphGen.rmat(spark, 8, 4, 2, a = 0.67, b = 0.16, c = 0.16))), 2)
+  sameAsAllArcs("random weights", TestGraphs.withWeights(TestGraphs.connectedEdges(60, 90, 7), 7), 7)
+  sameAsAllArcs("parallel edges of equal and of unequal weights", {
+    val es = TestGraphs.withWeights(TestGraphs.connectedEdges(40, 60, 8), 8)
+    es ++ es.take(20).map { case (u, v, w) => (v, u, w) } ++ es.slice(10, 30) ++ es.slice(20, 40).map { case (u, v, w) => (u, v, w / 2) }
+  }, 8)
+  sameAsAllArcs("a self-loop and leaves", {
+    val es = TestGraphs.withWeights(TestGraphs.connectedEdges(30, 30, 9), 9)
+    es ++ Seq((5L, 5L, 0.001), (12L, 12L, 0.9)) ++ (100L until 120L).map(l => (l % 7, l, 0.5))
+  }, 9)
 
   test("full exploration of a small component emits its whole MSF") {
     val edges = TestGraphs.withWeights(Seq((0L, 1L), (1L, 2L), (0L, 2L)), 2)
