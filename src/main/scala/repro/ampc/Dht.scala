@@ -1,6 +1,8 @@
 package repro.ampc
 
 import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.atomic.AtomicLong
+import scala.collection.mutable
 
 /** Simulated distributed hash table — the side-channel that turns MPC into
   * AMPC (§2 of the paper).
@@ -16,7 +18,7 @@ import java.util.concurrent.ConcurrentHashMap
   */
 final class Dht[V](val id: String, metrics: Metrics) extends Serializable {
   @transient private lazy val map: ConcurrentHashMap[Long, (AnyRef, Int)] =
-    DhtRegistry.stores(id)
+    DhtRegistry.resolve(id)
 
   /** Write a key-value pair of approximately `bytes` bytes. */
   def put(key: Long, value: V, bytes: Int): Unit = {
@@ -41,51 +43,70 @@ final class Dht[V](val id: String, metrics: Metrics) extends Serializable {
     e._1.asInstanceOf[V]
   }
 
-  def close(): Unit = DhtRegistry.stores.close(id)
+  def close(): Unit = DhtRegistry.close(id)
 }
 
 object DhtRegistry {
-  private[ampc] val stores =
-    new Registry[ConcurrentHashMap[Long, (AnyRef, Int)]]("DHT store", () => new ConcurrentHashMap)
+  private val stores = new ConcurrentHashMap[String, ConcurrentHashMap[Long, (AnyRef, Int)]]()
+  private val counter = new AtomicLong()
 
-  /** Create a fresh named store charging reads/writes to `metrics`. */
-  def create[V](tag: String, metrics: Metrics): Dht[V] = new Dht[V](stores.open(tag), metrics)
+  /** Create a fresh store, under a process-unique id starting with `tag`,
+    * charging reads/writes to `metrics`.
+    */
+  def create[V](tag: String, metrics: Metrics): Dht[V] = {
+    val id = s"$tag-${counter.incrementAndGet()}"
+    stores.put(id, new ConcurrentHashMap)
+    new Dht[V](id, metrics)
+  }
+
+  /** The map of the open store `id`. A closed or never-created id throws:
+    * a task that outlives its run must fail, not read a fresh empty store.
+    */
+  private[ampc] def resolve(id: String): ConcurrentHashMap[Long, (AnyRef, Int)] = {
+    val s = stores.get(id)
+    if (s == null) throw new IllegalStateException(s"DHT store $id is closed or was never created")
+    s
+  }
+
+  private[ampc] def close(id: String): Unit = stores.remove(id): Unit
+
+  /** How many stores are open. */
+  private[ampc] def size: Int = stores.size
 }
 
-/** Per-run result cache — the paper's *caching optimization* (§5.3).
+/** One task's result cache — the paper's *caching optimization* (§5.3).
   *
   * The AMPC algorithms memoize answers of the recursive query processes
-  * ("is vertex v in the MIS", "whom is vertex v matched to"). When
-  * `enabled` the cache is a JVM-shared map (an idealized version of the
-  * paper's per-machine arrays — strictly stronger, which only widens the
-  * measured caching-vs-no-caching gap in the same direction the paper
-  * reports). When disabled every probe misses, reproducing the
-  * caching-off ablation of Figure 4.
+  * ("is vertex v in the MIS", "whom is vertex v matched to", "which root
+  * does v reach"). The entries live in a plain map that is not
+  * serialized: Spark deserializes each task's closure afresh, so every
+  * task starts with its own empty map and keeps it for that task alone. A
+  * task is one partition, which plays one of the paper's machines with
+  * its per-machine arrays. On the driver, one construction is one cache.
+  * A cache is not thread-safe: one task, or one driver thread, uses it.
+  * When not `enabled` every probe misses, reproducing the caching-off
+  * ablation of Figure 4.
   */
-final class KvCache[V](val id: String, val enabled: Boolean, metrics: Metrics)
-    extends Serializable {
-  @transient private lazy val map: ConcurrentHashMap[Long, AnyRef] =
-    KvCache.caches(id)
+final class KvCache[V](enabled: Boolean, metrics: Metrics) extends Serializable {
+  @transient private lazy val map = mutable.LongMap.empty[V]
 
   def get(key: Long): Option[V] =
     if (!enabled) None
     else {
       val v = map.get(key)
-      if (v == null) None
-      else { metrics.cacheHit(); Some(v.asInstanceOf[V]) }
+      if (v.isDefined) metrics.cacheHit()
+      v
     }
 
-  def put(key: Long, value: V): Unit =
-    if (enabled) map.put(key, value.asInstanceOf[AnyRef]): Unit
+  def put(key: Long, value: V): Unit = if (enabled) map.update(key, value)
 
   def size: Int = map.size
 
-  def close(): Unit = KvCache.caches.close(id)
+  /** Drops every entry. */
+  def close(): Unit = map.clear()
 }
 
 object KvCache {
-  private[ampc] val caches = new Registry[ConcurrentHashMap[Long, AnyRef]]("KV cache", () => new ConcurrentHashMap)
-
-  def create[V](tag: String, enabled: Boolean, metrics: Metrics): KvCache[V] =
-    new KvCache[V](caches.open(tag), enabled, metrics)
+  /** A new cache, as the constructor makes it; `tag` is not used. */
+  def create[V](tag: String, enabled: Boolean, metrics: Metrics): KvCache[V] = new KvCache[V](enabled, metrics)
 }

@@ -63,18 +63,21 @@ object AmpcMatching {
     val dht = kit.dht[EdgeAdj]("mm-adj")
     // Per-vertex caches (the §5.4 caching optimization): matched partner,
     // and "finished up to rank R" watermark.
-    val matchedCache = kit.cache[Long]("mm-matched", caching)
-    val finishedCache = kit.cache[Long]("mm-finished", caching)
+    val matchedCache = new KvCache[Long](caching, metrics)
+    val finishedCache = new KvCache[Long](caching, metrics)
     // Each vertex's incident edges by rank; grouping them was the single shuffle.
     val adj = kit.keep(adjacency.mapPartitions(
       _.map { case (v, ns) =>
         val rank = ns.map(Priorities.edgeRank(v, _, seed))
-        val byRank: Ordering[Int] = { (i, j) =>
+        val order = CoPartitioned.indexSort(ns.length) { (i, j) =>
           val c = java.lang.Long.compare(rank(i), rank(j))
           if (c != 0) c else java.lang.Long.compare(ns(i), ns(j))
         }
-        val order = Array.range(0, ns.length).sorted(byRank)
-        (v, EdgeAdj(order.map(rank), order.map(ns)))
+        val ranks = new Array[Long](ns.length)
+        val nbrs = new Array[Long](ns.length)
+        var k = 0
+        while (k < ns.length) { ranks(k) = rank(order(k)); nbrs(k) = ns(order(k)); k += 1 }
+        (v, EdgeAdj(ranks, nbrs))
       },
       preservesPartitioning = true,
     ))

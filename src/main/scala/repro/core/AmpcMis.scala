@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{Dht, KvCache, Metrics, RunMetrics}
 import repro.graphs.{CoPartitioned, GraphOps}
+import scala.collection.mutable
 
 /** AMPC Maximal Independent Set — Figure 1 of the paper.
   *
@@ -41,19 +42,25 @@ object AmpcMis {
   ): Result = CoPartitioned.run(spark) { kit =>
     val metrics = kit.metrics
     val dht = kit.dht[Array[Long]]("mis-adj")
-    val cache = kit.cache[Boolean]("mis-res", caching)
+    val cache = new KvCache[Boolean](caching, metrics)
     // Step (1): DirectEdgesUsingPriority — the algorithm's one shuffle.
     // Each vertex keeps the neighbors that precede it, sorted by rank.
     val directed = kit.keep(kit.adjacency(edges).mapPartitions(
       _.map { case (v, ns) =>
         val vr = Priorities.vertexRank(v, seed)
         val rank = ns.map(Priorities.vertexRank(_, seed))
-        val preds = Array.range(0, ns.length).filter(i => Priorities.precedes(rank(i), ns(i), vr, v))
-        val byRank: Ordering[Int] = { (i, j) =>
+        val order = CoPartitioned.indexSort(ns.length) { (i, j) =>
           val c = java.lang.Long.compare(rank(i), rank(j))
           if (c != 0) c else java.lang.Long.compare(ns(i), ns(j))
         }
-        (v, preds.sorted(byRank).map(i => ns(i)))
+        val preds = new mutable.ArrayBuilder.ofLong
+        var k = 0
+        while (k < order.length) {
+          val i = order(k)
+          if (Priorities.precedes(rank(i), ns(i), vr, v)) preds += ns(i)
+          k += 1
+        }
+        (v, preds.result())
       },
       preservesPartitioning = true,
     ))

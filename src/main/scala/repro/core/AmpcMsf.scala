@@ -217,7 +217,7 @@ object AmpcMsf {
     val metrics = kit.metrics
     val adjDht = kit.dht[WeightAdj]("msf-adj")
     val parentDht = kit.dht[Long]("msf-parent")
-    val rootCache = kit.cache[Long]("msf-root", enabled = true)
+    val rootCache = new KvCache[Long](enabled = true, metrics)
     // Part 1: SortGraph (shuffle 1) + KV-Write. The write counts the
     // vertices and sums their degrees to 2m.
     val rows = kit.keep(kit.shuffled(triples.flatMap { case (u, v, w) =>

@@ -7,7 +7,7 @@ import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{DataType, DoubleType, LongType, StructField, StructType}
 import org.apache.spark.storage.StorageLevel
-import repro.ampc.{Dht, DhtRegistry, KvCache, Metrics}
+import repro.ampc.{Dht, DhtRegistry, Metrics}
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 import scala.reflect.ClassTag
@@ -16,11 +16,11 @@ import scala.reflect.ClassTag
   * rounds and the MPC baselines share.
   *
   * [[CoPartitioned.run]] opens a kit for one run. The kit holds the run's
-  * cost ledger, the DHT stores and caches it hands out, and the RDDs it
-  * keeps; when the run returns or throws, it drops the kept blocks, then
-  * closes every store and cache. In AMPC a store lives for one run only
-  * (§2, and [19]), so no store outlives the scope. The kit is not
-  * serializable: a closure names the handles it uses, never the kit.
+  * cost ledger, the DHT stores it hands out, and the RDDs it keeps; when
+  * the run returns or throws, it drops the kept blocks, then closes every
+  * store. In AMPC a store lives for one run only (§2, and [19]), so no
+  * store outlives the scope. The kit is not serializable: a closure names
+  * the handles it uses, never the kit.
   *
   * Every table is keyed by vertex under one `HashPartitioner`, so a lookup
   * of one table's rows in another is a narrow join (co-partitioning as in
@@ -48,7 +48,6 @@ private[repro] final class CoPartitioned private (spark: SparkSession) {
   private val part = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
   private val held = mutable.ArrayBuffer.empty[RDD[_]]
   private val stores = mutable.ArrayBuffer.empty[Dht[_]]
-  private val caches = mutable.ArrayBuffer.empty[KvCache[_]]
 
   /** The run's cost ledger, registered with Spark so that tasks count into it. */
   val metrics = new Metrics
@@ -62,23 +61,14 @@ private[repro] final class CoPartitioned private (spark: SparkSession) {
     d
   }
 
-  /** A result cache for this run, charging [[metrics]]; when not
-    * `enabled` every probe misses.
-    */
-  def cache[V](name: String, enabled: Boolean): KvCache[V] = {
-    val c = KvCache.create[V](name, enabled, metrics)
-    caches += c
-    c
-  }
-
   /** Drops the blocks of every RDD [[checkpoint]] or [[keep]] took (not
     * through `RDD.unpersist`, which warns for each locally checkpointed one
     * that its lineage is gone: here that is the intent), then closes every
-    * store and cache.
+    * store.
     */
   private def close(): Unit =
     try held.foreach(Unpersist(_))
-    finally { stores.foreach(_.close()); caches.foreach(_.close()) }
+    finally stores.foreach(_.close())
 
   /** `rdd`, locally checkpointed by the first action that computes it. */
   def checkpoint[T: ClassTag](rdd: RDD[T]): RDD[T] = stored(rdd)(b => held += b.localCheckpoint())
@@ -198,7 +188,7 @@ private[repro] final class CoPartitioned private (spark: SparkSession) {
 private[repro] object CoPartitioned {
 
   /** `body` with a fresh kit, which then drops the blocks it kept and
-    * closes every store and cache it opened, whether `body` returns or throws.
+    * closes every store it opened, whether `body` returns or throws.
     */
   def run[R](spark: SparkSession)(body: CoPartitioned => R): R = {
     val kit = new CoPartitioned(spark)

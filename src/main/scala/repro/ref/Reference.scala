@@ -14,7 +14,7 @@ import scala.collection.mutable
 object Reference {
 
   /** Classic union-find with path compression and union by rank. */
-  final class UnionFind(n0: Int = 16) {
+  final class UnionFind {
     private val parent = mutable.LongMap.empty[Long]
     private val rank   = mutable.LongMap.empty[Long]
 

@@ -55,18 +55,26 @@ class RetrySpec extends AnyFunSuite {
     assert(faulty == clean)
   }
 
+  test("AMPC MIS with caching gives the same output and counters when tasks are retried") {
+    val (clean, faulty) = cleanAndFaulty(AmpcMis.run(spark, plain, 3, caching = true))
+    assert(faulty == clean)
+  }
+
+  test("AMPC MM with caching gives the same output and counters when tasks are retried") {
+    val (clean, faulty) = cleanAndFaulty(AmpcMatching.run(spark, plain, 3, caching = true))
+    assert(faulty == clean)
+  }
+
   test("AMPC 2-Cycle gives the same output and counters when tasks are retried") {
     val (clean, faulty) = cleanAndFaulty(AmpcTwoCycle.run(spark, GraphGen.twoCycles(spark, 300), 3, 8))
     assert(faulty == clean)
   }
 
-  // The pointer-jump memo is shared by the tasks, so `kvQueries`, `cacheHits`
-  // and the chain depth depend on task order; they are not compared.
-  test("AMPC MSF gives the same output, shuffles and DHT writes when tasks are retried") {
+  test("AMPC MSF gives the same output and counters when tasks are retried") {
     val weighted = TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(TestGraphs.randomEdges(200, 800, 5), 5))
     def outcome(r: AmpcMsf.Result) = (
       r.msf.toSet, r.mapping.collect().map(row => (row.getLong(0), row.getLong(1))).toSet, r.contracted.toSet,
-      r.nContracted, r.metrics.shuffles, r.metrics.shuffleBytes, r.metrics.kvWriteBytes)
+      r.nContracted, r.metrics)
     val (clean, faulty) = cleanAndFaulty(AmpcMsf.run(spark, weighted, 3))
     assert(outcome(faulty) == outcome(clean))
   }

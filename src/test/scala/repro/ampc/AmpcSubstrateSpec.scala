@@ -106,29 +106,35 @@ class DhtSpec extends AnyFunSuite {
 class KvCacheSpec extends AnyFunSuite {
   test("enabled cache stores and counts hits") {
     val m = new Metrics
-    val c = KvCache.create[Boolean]("t", enabled = true, m)
+    val c = new KvCache[Boolean](enabled = true, m)
     assert(c.get(1L).isEmpty)
     c.put(1L, true)
     assert(c.get(1L).contains(true))
     assert(m.value.cacheHits == 1)
-    c.close()
   }
 
   test("disabled cache always misses and never stores") {
     val m = new Metrics
-    val c = KvCache.create[Boolean]("t", enabled = false, m)
+    val c = new KvCache[Boolean](enabled = false, m)
     c.put(1L, true)
     assert(c.get(1L).isEmpty)
     assert(m.value.cacheHits == 0 && c.size == 0)
-    c.close()
   }
 
-  test("a handle to a closed cache throws, naming the id") {
-    val c = KvCache.create[Boolean]("t", enabled = true, Registered())
+  test("a deserialized copy starts empty and shares no entry with the original") {
+    val c = new KvCache[Boolean](enabled = true, Registered())
+    c.put(1L, true)
     val copy = Serialized(c)
+    assert(copy.size == 0 && copy.get(1L).isEmpty)
+    copy.put(2L, false)
+    assert(c.size == 1 && c.get(2L).isEmpty && c.get(1L).contains(true))
+  }
+
+  test("close empties the cache") {
+    val c = KvCache.create[Boolean]("t", enabled = true, new Metrics)
+    c.put(1L, true)
     c.close()
-    val e = intercept[IllegalStateException](copy.get(1L))
-    assert(e.getMessage.contains(c.id))
+    assert(c.size == 0 && c.get(1L).isEmpty)
   }
 }
 
@@ -169,9 +175,9 @@ class CostModelSpec extends AnyFunSuite {
   }
 }
 
-/** Every algorithm run closes what it opens, whether it returns or
-  * throws: a DHT store or result cache left open holds its entries in its
-  * registry for the life of the JVM. Each test checks both registries.
+/** Every algorithm run closes the DHT stores it opens, whether it returns
+  * or throws: a store left open holds its entries in the registry for the
+  * life of the JVM.
   */
 class DhtLifetimeSpec extends repro.SparkSpec {
   import repro.TestGraphs
@@ -199,12 +205,10 @@ class DhtLifetimeSpec extends repro.SparkSpec {
     "MatchingPhases out of phases" -> (() => MatchingPhases.run(spark, starAndPath, 1, maxPhases = 1)),
   )
 
-  private def open: (Int, Int) = (DhtRegistry.stores.size, KvCache.caches.size)
-
   private def closesAll(run: => Any): Unit = {
-    val before = open
+    val before = DhtRegistry.size
     run
-    assert(open == before, "(stores, caches) open")
+    assert(DhtRegistry.size == before, "stores open")
   }
 
   for ((name, run) <- dhtRuns)
