@@ -12,25 +12,31 @@ import scala.collection.mutable
   * baseline of §5.6 (Łącki–Mirrokni–Włodarczyk), which prior work found
   * to be the fastest MPC connectivity implementation.
   *
-  * Each round every vertex hangs onto its minimum-rank neighbor if that
-  * neighbor ranks below itself, and the resulting one-hop stars contract.
-  * On a cycle this about halves the edges per round (measured: 3000 →
-  * 1507 → 753), less than the paper's measured 2.59–3×, at three declared
-  * shuffles per round: the min-neighbor aggregation, and two relabeling
-  * shuffles, onto dst and then onto the new src. Below `localThreshold`
-  * edges the residual is finished on one machine.
+  * Each round every vertex contracts into the minimum vertex of its
+  * radius-2 neighbourhood, under fresh random ranks: ℓ(u) is the minimum
+  * of u's closed neighbourhood, and v's parent the minimum of ℓ over v's.
+  * A parent is at most two hops away, so every path maps to a path of
+  * supervertices and the components cannot change. On a cycle this
+  * removes about two thirds of the edges per round (measured: 3000 → 1022
+  * → 341 → 108), the paper's measured 2.59–3×, at three declared shuffles
+  * per round: ℓ onto every neighbour, reduced to the parents (2m rows),
+  * each edge once onto its dst (m), and each edge both ways onto its new
+  * endpoints (2m). Below `localThreshold` edges the residual is finished
+  * on one machine.
   *
   * Every table is a pair RDD on [[CoPartitioned]]'s shared partitioner,
   * so joins against the round's parent table are narrow. A round's table
-  * holds the current edges keyed by src and the label rows (supervertex →
-  * original vertex) keyed by supervertex, told apart by a tag. The label
-  * rows move to their new supervertex inside the third shuffle, with the
-  * edges deduplicated onto their new src; the first round takes them from
-  * the parent table, whose keys are every vertex of the input graph. So
-  * Spark runs one shuffle stage per declared shuffle, plus the one that
-  * keys the input, and a round runs one Spark action: the edge count that
-  * feeds the trajectory. The finish reads the residual edges and the
-  * supervertices in one more, which also stores the label table it returns.
+  * holds every edge in both directions keyed by src, so a vertex's arcs
+  * are all in its partition and ℓ is a narrow step, and the label rows
+  * (supervertex → original vertex) keyed by supervertex, told apart by a
+  * tag. The label rows move to their new supervertex inside the third
+  * shuffle, with the edges deduplicated onto their new endpoints; the
+  * first round takes them from the parent table, whose keys are every
+  * vertex of the input graph. So Spark runs one shuffle stage per
+  * declared shuffle, plus the one that keys the input both ways, and a
+  * round runs one Spark action: the edge count that feeds the trajectory.
+  * The finish reads the residual edges and the supervertices in one more,
+  * which also stores the label table it returns.
   */
 object LocalContractionCC {
 
@@ -39,28 +45,52 @@ object LocalContractionCC {
       labels: DataFrame,
       numComponents: Long,
       rounds: Int,
-      /** Current-graph edge count after every round (shrink trajectory). */
+      /** Current-graph edge count after every round (shrink trajectory),
+        * each undirected edge once; the first entry counts the input's
+        * distinct edges, a self-loop among them.
+        */
       edgeTrajectory: Seq[Long],
       metrics: RunMetrics,
   )
 
-  /** A row of a round's table: an edge (src, (dst, false)) or a label
+  /** A row of a round's table: an arc (src, (dst, false)) or a label
     * (supervertex, (original vertex, true)).
     */
   private type Tagged = (Long, (Long, Boolean))
 
-  /** The (rank, id)-smaller of two vertices under this round's ranks. */
-  private def lower(roundSeed: Long)(a: Long, b: Long): Long =
-    if (precedes(vertexRank(b, roundSeed), b, vertexRank(a, roundSeed), a)) b else a
+  /** The (rank, id)-smaller of two vertices under the ranks of round
+    * `round` (fresh random ranks each round, as the hashed priorities of
+    * the real implementation: raw ids would stall on sequentially
+    * numbered cycles).
+    */
+  private[mpc] def lower(seed: Long, round: Int): (Long, Long) => Long = {
+    val roundSeed = splitmix64(seed ^ (7000L + round))
+    (a, b) => if (precedes(vertexRank(b, roundSeed), b, vertexRank(a, roundSeed), a)) b else a
+  }
 
+  /** The edge {u, v} as its two arcs. */
+  private def bothWays(u: Long, v: Long): Iterator[Tagged] = Iterator((u, (v, false)), (v, (u, false)))
+
+  /** Every edge of a table once, as its arc with src ≤ dst. */
   private def edgesOf(table: RDD[Tagged]): RDD[(Long, Long)] =
-    table.mapPartitions(_.collect { case (u, (v, false)) => (u, v) }, preservesPartitioning = true)
+    table.mapPartitions(_.collect { case (u, (v, false)) if u <= v => (u, v) }, preservesPartitioning = true)
 
   private def labelsOf(table: RDD[Tagged]): RDD[(Long, Long)] =
     table.mapPartitions(_.collect { case (s, (orig, true)) => (s, orig) }, preservesPartitioning = true)
 
-  /** A partition of the next round's table from the rows shuffle 3 moved
-    * there: each src's distinct dsts in ascending order, then the labels.
+  /** For every arc (u, v) of a partition of a table, (v, ℓ(u)): ℓ(u) is
+    * the lowest vertex of u's closed neighbourhood, which u's arcs, all in
+    * this partition, give.
+    */
+  private def minima(low: (Long, Long) => Long)(rows: Iterator[Tagged]): Iterator[(Long, Long)] = {
+    val arcs = rows.collect { case (u, (v, false)) => (u, v) }.toArray
+    val ell = mutable.LongMap.empty[Long]
+    arcs.foreach { case (u, v) => ell(u) = low(ell.getOrElse(u, u), v) }
+    arcs.iterator.map { case (u, v) => (v, ell(u)) }
+  }
+
+  /** A partition of a round's table from the rows a shuffle moved there:
+    * each src's distinct dsts in ascending order, then the labels.
     */
   private def nextTable(rows: Iterator[Tagged]): Iterator[Tagged] = {
     val dsts = mutable.LongMap.empty[mutable.ArrayBuilder.ofLong]
@@ -81,8 +111,9 @@ object LocalContractionCC {
     // stored the label table it returns.
     import kit.{checkpoint, reduced, shuffled, withParents}
     val metrics = kit.metrics
-    // The input rows as given, keyed by src: the first round dedups them.
-    var cur: RDD[Tagged] = checkpoint(shuffled(kit.pairs(edges)).mapValues((_, false)))
+    // The input's edges both ways, keyed by src and deduplicated.
+    var cur: RDD[Tagged] = checkpoint(
+      shuffled(kit.pairs(edges).flatMap { case (u, v) => bothWays(u, v) }).mapPartitions(nextTable, preservesPartitioning = true))
 
     var rounds = 0
     var done = false
@@ -114,27 +145,26 @@ object LocalContractionCC {
       } else {
         require(rounds < maxRounds, s"no local finish within $maxRounds rounds")
         rounds += 1
-        val es = edgesOf(cur)
-        // Shuffle 1: hang every vertex onto its minimum-*rank* neighbor
-        // (fresh random ranks each round, as the hashed priorities of
-        // the real implementation — raw ids would stall on
-        // sequentially-numbered cycles).
-        val low = lower(splitmix64(seed ^ (7000L + rounds))) _
+        val low = lower(seed, rounds)
+        // Shuffle 1: ℓ(u) from u's arcs (narrow), sent along every arc.
+        // The minimum reaching v is its parent, the minimum of ℓ over v's
+        // closed neighbourhood: ℓ(v) itself is no lower than ℓ of any
+        // neighbour u, since v is in u's closed neighbourhood.
         metrics.shuffle(2 * edgeCount * GraphOps.EdgeBytes)
-        val parents = kit.keep(reduced(es.flatMap { case (u, v) => Iterator((u, v), (v, u)) })(low)
-          .mapPartitions(_.map { case (v, best) => (v, low(v, best)) }, preservesPartitioning = true))
+        val parents = kit.keep(reduced(cur.mapPartitions(minima(low)))(low))
 
         // Shuffle 2: relabel src (a narrow join), then move each edge to its dst.
         metrics.shuffle(edgeCount * GraphOps.EdgeBytes)
-        val byDst = shuffled(withParents(es, parents)((v, pu) => Some((v, pu))))
+        val byDst = shuffled(withParents(edgesOf(cur), parents)((v, pu) => Some((v, pu))))
 
         // Shuffle 3: relabel dst (narrow again), drop loops, and move each
-        // edge to its new src, where it is deduplicated. Each label row
-        // moves to its new supervertex in the same shuffle; the first
-        // round labels every vertex of the graph, a key of the parent table.
-        metrics.shuffle(edgeCount * GraphOps.EdgeBytes)
+        // edge both ways to its new endpoints, where it is deduplicated.
+        // Each label row moves to its new supervertex in the same shuffle;
+        // the first round labels every vertex of the graph, a key of the
+        // parent table.
+        metrics.shuffle(2 * edgeCount * GraphOps.EdgeBytes)
         val relabeled = withParents(byDst, parents) { (pu, pv) =>
-          if (pu == pv) None else Some((math.min(pu, pv), (math.max(pu, pv), false)))
+          if (pu == pv) Iterator.empty else bothWays(pu, pv)
         }
         val relabels =
           if (rounds == 1) parents.map { case (v, p) => (p, (v, true)) }

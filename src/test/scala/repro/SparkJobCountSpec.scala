@@ -150,7 +150,7 @@ class SparkJobCountSpec extends SparkSpec {
   }
 
   // Each declared shuffle (parents, dst, dedup with the label rows) writes
-  // in one stage, plus the one that keys the input by src.
+  // in one stage, plus the one that keys the input both ways by src.
   test("LocalContractionCC writes shuffle data in at most 3 stages per round plus 1") {
     val cc = contraction
     assert(cc.shuffleStages <= 3 * cc.result.rounds + 1, s"${cc.shuffleStages} shuffle stages in ${cc.result.rounds} rounds")

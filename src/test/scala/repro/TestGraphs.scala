@@ -36,6 +36,10 @@ object TestGraphs {
     edges.toDF("src", "dst", "weight")
   }
 
+  /** `df`'s (src, dst) rows, collected to the driver. */
+  def edgesOf(df: DataFrame): Seq[(Long, Long)] =
+    df.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+
   def vertices(edges: Seq[(Long, Long)]): Seq[Long] =
     edges.flatMap(e => Seq(e._1, e._2)).distinct.sorted
 
